@@ -430,18 +430,37 @@ func BenchmarkRealLayerNorm(b *testing.B) {
 	}
 }
 
-func BenchmarkRealGeLU(b *testing.B) {
-	const n = 1 << 19
+// geluBenchInput returns the train workload's FC-1 activation size
+// (B=8, n=128, d_ff=1024) of pre-activations drawn from N(0, 2²), wide
+// enough that some inputs fall past erf32's ±4 clamp (|x| > 4√2).
+func geluBenchInput() []float32 {
+	const n = 8 * 128 * 1024
 	r := tensor.NewRNG(1)
 	x := make([]float32, n)
-	y := make([]float32, n)
 	for i := range x {
-		x[i] = r.Float32() - 0.5
+		x[i] = 2 * r.NormFloat32()
 	}
-	b.SetBytes(8 * n)
+	return x
+}
+
+func BenchmarkRealGeLU(b *testing.B) {
+	x := geluBenchInput()
+	y := make([]float32, len(x))
+	b.SetBytes(int64(8 * len(x)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		kernels.GeLUForward(y, x)
+	}
+}
+
+func BenchmarkRealGeLUBackward(b *testing.B) {
+	x := geluBenchInput()
+	dY := geluBenchInput()
+	dX := make([]float32, len(x))
+	b.SetBytes(int64(12 * len(x)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kernels.GeLUBackward(dX, dY, x)
 	}
 }
 

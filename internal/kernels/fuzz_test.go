@@ -127,3 +127,32 @@ func FuzzGEMMBlockedVsNaive(f *testing.F) {
 		}
 	})
 }
+
+// FuzzGeLU: any finite input gives a finite forward and backward within
+// the oracle bounds of fastmath_test.go (forward ≤ geluFwdTol·max(1,|x|),
+// backward ≤ geluBwdTol absolute, against the float64 GELU).
+func FuzzGeLU(f *testing.F) {
+	for _, x := range []float32{0, 1, -1, 0.5, -0.7518, 5.6568, -5.6568, 13.2, -13.2, 30, -30, 1e30, -1e30, math.MaxFloat32} {
+		f.Add(x)
+	}
+	f.Fuzz(func(t *testing.T, x float32) {
+		xv := float64(x)
+		if math.IsNaN(xv) || math.IsInf(xv, 0) {
+			return
+		}
+		y := make([]float32, 1)
+		dX := make([]float32, 1)
+		GeLUForward(y, []float32{x})
+		GeLUBackward(dX, []float32{1}, []float32{x})
+		if math.IsNaN(float64(y[0])) || math.IsInf(float64(y[0]), 0) ||
+			math.IsNaN(float64(dX[0])) || math.IsInf(float64(dX[0]), 0) {
+			t.Fatalf("GeLU(%v) = %v, GeLU'(%v) = %v: want finite", x, y[0], x, dX[0])
+		}
+		if d, bound := math.Abs(float64(y[0])-geluRef64(xv)), geluFwdTol*math.Max(1, math.Abs(xv)); d > bound {
+			t.Fatalf("GeLU(%v) = %v, float64 %v (err %.3g > %.3g)", x, y[0], geluRef64(xv), d, bound)
+		}
+		if d := math.Abs(float64(dX[0]) - geluGradRef64(xv)); d > geluBwdTol {
+			t.Fatalf("GeLU'(%v) = %v, float64 %v (err %.3g > %g)", x, dX[0], geluGradRef64(xv), d, geluBwdTol)
+		}
+	})
+}

@@ -1,7 +1,5 @@
 package kernels
 
-import "math"
-
 // GeLUForward applies the exact Gaussian Error Linear Unit (paper Eq. 1):
 //
 //	GELU(x) = x * 0.5 * (1 + erf(x / sqrt(2)))
@@ -17,29 +15,34 @@ func GeLUForward(dst, x []float32) {
 	})
 }
 
+const (
+	invSqrt2   = 0.70710678118654752440 // 1/√2
+	invSqrt2Pi = 0.39894228040143267794 // 1/√(2π)
+)
+
 // geluScalar is the shared scalar GELU used by both the stand-alone
-// GeLUForward pass and the fused GEMM epilogue (gemm_epilogue.go). Keeping
-// the exact same float64 expression in one place is what makes the fused
-// and unfused paths bitwise-identical.
+// GeLUForward pass and the fused GEMM epilogues (gemm_epilogue.go,
+// gemm_int8.go). Keeping the exact same float32 expression in one place is
+// what makes the fused and unfused paths bitwise-identical. erf runs in
+// float32 (erf32, fastmath.go), within 1e-6·max(1,|x|) of the float64 GELU.
 func geluScalar(x float32) float32 {
-	v := float64(x)
-	return float32(v * 0.5 * (1 + math.Erf(v/math.Sqrt2)))
+	return x * 0.5 * (1 + erf32(x*invSqrt2))
 }
 
 // GeLUBackward computes dX = dY * GELU'(x) with the exact derivative
 //
 //	GELU'(x) = 0.5*(1 + erf(x/sqrt(2))) + x * phi(x)
 //
-// where phi is the standard normal density.
+// where phi is the standard normal density, evaluated in float32 with
+// erf32 and exp32 (within 1e-6 of the float64 derivative).
 func GeLUBackward(dX, dY, x []float32) {
 	checkSameLen("GeLUBackward", dX, dY, x)
-	const invSqrt2Pi = 0.3989422804014327
 	parallelFor(len(x), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			v := float64(x[i])
-			cdf := 0.5 * (1 + math.Erf(v/math.Sqrt2))
-			pdf := invSqrt2Pi * math.Exp(-0.5*v*v)
-			dX[i] = dY[i] * float32(cdf+v*pdf)
+			v := x[i]
+			cdf := 0.5 * (1 + erf32(v*invSqrt2))
+			pdf := invSqrt2Pi * exp32(-0.5*v*v)
+			dX[i] = dY[i] * (cdf + v*pdf)
 		}
 	})
 }

@@ -331,3 +331,55 @@ func TestGEMMPackedEpilogueZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestBiasGeLUEpilogueBitwiseStandaloneKernels pins the fused bias+GeLU
+// epilogue to the stand-alone public kernel sequence — GEMM (or GEMMInt8
+// with no tail) → AddBias → GeLUForward — bitwise, with and without the
+// pre-activation save, which is checked too. Unlike the reference above, the expected values
+// never call geluScalar directly, so a fused path whose GeLU drifted from
+// GeLUForward's fails here. m and n are ragged against the 6x16 tile, and
+// the smallest shape takes auto's naive route.
+func TestBiasGeLUEpilogueBitwiseStandaloneKernels(t *testing.T) {
+	r := tensor.NewRNG(49)
+	for _, sh := range [][3]int{{5, 9, 3}, {7, 17, 33}, {131, 83, 64}, {65, 250, 40}} {
+		m, n, k := sh[0], sh[1], sh[2]
+		a := randSlice(r, m*k)
+		b := randSlice(r, k*n)
+		for i := range a {
+			a[i] *= 3 // spread pre-activations past erf32's clamp
+		}
+		bias := randSlice(r, n)
+		pb := PackWeight(false, n, k, b)
+		pb8 := PackWeightInt8(false, n, k, b)
+		for _, path := range []GEMMPath{GEMMPathAuto, GEMMPathFused, GEMMPathInt8} {
+			for _, save := range []bool{true, false} {
+				old := SetGEMMPath(path)
+				ep := &Epilogue{Kind: EpilogueBiasGeLU, Bias: bias}
+				if save {
+					ep.X = make([]float32, m*n)
+				}
+				got := make([]float32, m*n)
+				want := make([]float32, m*n)
+				if path == GEMMPathInt8 {
+					GEMMInt8(m, n, k, a, pb8, ep, got)
+					GEMMInt8(m, n, k, a, pb8, nil, want)
+				} else {
+					GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, got)
+					GEMMPacked(false, m, n, k, 1, a, pb, 0, want)
+				}
+				SetGEMMPath(old)
+				AddBias(want, bias, m, n)
+				pre := append([]float32(nil), want...)
+				GeLUForward(want, want)
+				for i := range want {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("%v save=%v %dx%dx%d: output[%d] = %v, stand-alone kernels %v", path, save, m, n, k, i, got[i], want[i])
+					}
+					if save && math.Float32bits(ep.X[i]) != math.Float32bits(pre[i]) {
+						t.Fatalf("%v %dx%dx%d: saved X[%d] = %v, stand-alone kernels %v", path, m, n, k, i, ep.X[i], pre[i])
+					}
+				}
+			}
+		}
+	}
+}

@@ -17,12 +17,18 @@ const (
 	checkpointVersion = 1
 )
 
+// ioChunkBytes is the size of the staging buffer through which parameter
+// data is encoded and decoded. It is fixed, not sized to the tensor, so
+// checkpoint I/O adds the same bounded 64 KiB to memory for every model.
+const ioChunkBytes = 64 << 10
+
 // Save writes the model's configuration and parameters to w.
 func (m *BERT) Save(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if err := writeHeader(bw, m.Config); err != nil {
 		return err
 	}
+	chunk := make([]byte, ioChunkBytes)
 	for _, p := range m.Params() {
 		if err := writeString(bw, p.Name); err != nil {
 			return err
@@ -36,10 +42,8 @@ func (m *BERT) Save(w io.Writer) error {
 				return err
 			}
 		}
-		for _, v := range p.Value.Data() {
-			if err := binary.Write(bw, binary.LittleEndian, math.Float32bits(v)); err != nil {
-				return err
-			}
+		if err := writeFloats(bw, p.Value.Data(), chunk); err != nil {
+			return err
 		}
 	}
 	return bw.Flush()
@@ -85,6 +89,7 @@ func (m *BERT) LoadParams(r io.Reader) error {
 // readParams reads the parameter stream of a checkpoint into the model's
 // existing tensors, verifying names and shapes in Params() order.
 func (m *BERT) readParams(br *bufio.Reader) error {
+	chunk := make([]byte, ioChunkBytes)
 	for _, p := range m.Params() {
 		name, err := readString(br)
 		if err != nil {
@@ -109,13 +114,8 @@ func (m *BERT) readParams(br *bufio.Reader) error {
 				return fmt.Errorf("model: %s dim %d is %d, want %d", name, i, d, p.Value.Dim(i))
 			}
 		}
-		data := p.Value.Data()
-		for i := range data {
-			var bits uint32
-			if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
-				return fmt.Errorf("model: reading %s data: %w", name, err)
-			}
-			data[i] = math.Float32frombits(bits)
+		if err := readFloats(br, p.Value.Data(), chunk); err != nil {
+			return fmt.Errorf("model: reading %s data: %w", name, err)
 		}
 		// Invalidate any packed-weight panels built from the pre-restore
 		// values — a resumed run must repack from the loaded weights.
@@ -123,6 +123,11 @@ func (m *BERT) readParams(br *bufio.Reader) error {
 	}
 	return nil
 }
+
+// checkpointHeaderBytes is the v1 header: nine int32 fields (magic,
+// version, Vocab, MaxPos, NumLayers, DModel, Heads, DFF, flags) and the
+// float32 DropProb, all little-endian.
+const checkpointHeaderBytes = 40
 
 func writeHeader(w io.Writer, cfg Config) error {
 	var flags int32
@@ -132,35 +137,34 @@ func writeHeader(w io.Writer, cfg Config) error {
 	if cfg.FusedAttention {
 		flags |= 2
 	}
-	fields := []int32{
+	fields := [9]int32{
 		checkpointMagic, checkpointVersion,
 		int32(cfg.Vocab), int32(cfg.MaxPos), int32(cfg.NumLayers),
 		int32(cfg.DModel), int32(cfg.Heads), int32(cfg.DFF), flags,
 	}
-	for _, f := range fields {
-		if err := binary.Write(w, binary.LittleEndian, f); err != nil {
-			return err
-		}
+	var hdr [checkpointHeaderBytes]byte
+	for i, f := range fields {
+		binary.LittleEndian.PutUint32(hdr[4*i:], uint32(f))
 	}
-	return binary.Write(w, binary.LittleEndian, math.Float32bits(cfg.DropProb))
+	binary.LittleEndian.PutUint32(hdr[36:], math.Float32bits(cfg.DropProb))
+	_, err := w.Write(hdr[:])
+	return err
 }
 
 func readHeader(r io.Reader) (Config, error) {
+	var hdr [checkpointHeaderBytes]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return Config{}, fmt.Errorf("model: reading checkpoint header: %w", err)
+	}
 	var fields [9]int32
 	for i := range fields {
-		if err := binary.Read(r, binary.LittleEndian, &fields[i]); err != nil {
-			return Config{}, fmt.Errorf("model: reading checkpoint header: %w", err)
-		}
+		fields[i] = int32(binary.LittleEndian.Uint32(hdr[4*i:]))
 	}
 	if fields[0] != checkpointMagic {
 		return Config{}, fmt.Errorf("model: not a checkpoint (magic %#x)", fields[0])
 	}
 	if fields[1] != checkpointVersion {
 		return Config{}, fmt.Errorf("model: unsupported checkpoint version %d", fields[1])
-	}
-	var dropBits uint32
-	if err := binary.Read(r, binary.LittleEndian, &dropBits); err != nil {
-		return Config{}, err
 	}
 	return Config{
 		Vocab:          int(fields[2]),
@@ -171,8 +175,40 @@ func readHeader(r io.Reader) (Config, error) {
 		DFF:            int(fields[7]),
 		Causal:         fields[8]&1 != 0,
 		FusedAttention: fields[8]&2 != 0,
-		DropProb:       math.Float32frombits(dropBits),
+		DropProb:       math.Float32frombits(binary.LittleEndian.Uint32(hdr[36:])),
 	}, nil
+}
+
+// writeFloats encodes data as little-endian float32 bits, staging at most
+// len(chunk) bytes at a time.
+func writeFloats(w io.Writer, data []float32, chunk []byte) error {
+	for len(data) > 0 {
+		n := min(len(data), len(chunk)/4)
+		for i, v := range data[:n] {
+			binary.LittleEndian.PutUint32(chunk[4*i:], math.Float32bits(v))
+		}
+		if _, err := w.Write(chunk[:4*n]); err != nil {
+			return err
+		}
+		data = data[n:]
+	}
+	return nil
+}
+
+// readFloats fills data from little-endian float32 bits, staging at most
+// len(chunk) bytes at a time.
+func readFloats(r io.Reader, data []float32, chunk []byte) error {
+	for len(data) > 0 {
+		n := min(len(data), len(chunk)/4)
+		if _, err := io.ReadFull(r, chunk[:4*n]); err != nil {
+			return err
+		}
+		for i := range data[:n] {
+			data[i] = math.Float32frombits(binary.LittleEndian.Uint32(chunk[4*i:]))
+		}
+		data = data[n:]
+	}
+	return nil
 }
 
 func writeString(w io.Writer, s string) error {

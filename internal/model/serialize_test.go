@@ -2,7 +2,10 @@ package model
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -217,5 +220,144 @@ func TestSaveLoadFineTuneHandoff(t *testing.T) {
 	qa := data.NewGenerator(cfg.Vocab, 0.15, 6).NextQA(2, 16)
 	if loss := f.Step(ctx, qa); loss <= 0 {
 		t.Fatalf("fine-tune step on loaded model produced loss %v", loss)
+	}
+}
+
+// saveRef is the per-float reference encoder of the v1 stream: one
+// binary.Write per header field, shape dimension and float. Save's bulk
+// codec must produce exactly these bytes.
+func saveRef(m *BERT, w io.Writer) error {
+	le := binary.LittleEndian
+	var flags int32
+	if m.Config.Causal {
+		flags |= 1
+	}
+	if m.Config.FusedAttention {
+		flags |= 2
+	}
+	c := m.Config
+	for _, f := range []int32{checkpointMagic, checkpointVersion, int32(c.Vocab), int32(c.MaxPos),
+		int32(c.NumLayers), int32(c.DModel), int32(c.Heads), int32(c.DFF), flags} {
+		if err := binary.Write(w, le, f); err != nil {
+			return err
+		}
+	}
+	if err := binary.Write(w, le, math.Float32bits(c.DropProb)); err != nil {
+		return err
+	}
+	for _, p := range m.Params() {
+		if err := binary.Write(w, le, int32(len(p.Name))); err != nil {
+			return err
+		}
+		if _, err := w.Write([]byte(p.Name)); err != nil {
+			return err
+		}
+		shape := p.Value.Shape()
+		if err := binary.Write(w, le, int32(len(shape))); err != nil {
+			return err
+		}
+		for _, d := range shape {
+			if err := binary.Write(w, le, int32(d)); err != nil {
+				return err
+			}
+		}
+		for _, v := range p.Value.Data() {
+			if err := binary.Write(w, le, math.Float32bits(v)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// TestSaveBytesMatchPerFloatEncoder pins the v1 byte stream: the bulk
+// chunked encoder writes the same bytes as the per-float reference, for a
+// model whose embedding (1000×64 floats) spans several 64 KiB chunks.
+func TestSaveBytesMatchPerFloatEncoder(t *testing.T) {
+	cfg := Tiny()
+	cfg.Causal, cfg.FusedAttention = true, true
+	m, _ := New(cfg, 11)
+	var got, want bytes.Buffer
+	if err := m.Save(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := saveRef(m, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("Save wrote %d bytes that differ from the per-float reference (%d bytes)", got.Len(), want.Len())
+	}
+	loaded, err := Load(&want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Config != cfg {
+		t.Fatalf("config %+v, want %+v", loaded.Config, cfg)
+	}
+}
+
+// TestFloatCodecChunkBoundaries round-trips lengths on both sides of the
+// chunk size, so the partial last chunk and exact multiples are covered.
+func TestFloatCodecChunkBoundaries(t *testing.T) {
+	per := ioChunkBytes / 4
+	chunk := make([]byte, ioChunkBytes)
+	for _, n := range []int{0, 1, per - 1, per, per + 1, 2*per + 3} {
+		src := make([]float32, n)
+		for i := range src {
+			src[i] = float32(i)*0.37 - 11
+		}
+		var buf bytes.Buffer
+		if err := writeFloats(&buf, src, chunk); err != nil {
+			t.Fatal(err)
+		}
+		if buf.Len() != 4*n {
+			t.Fatalf("n=%d: wrote %d bytes, want %d", n, buf.Len(), 4*n)
+		}
+		dst := make([]float32, n)
+		if err := readFloats(&buf, dst, chunk); err != nil {
+			t.Fatal(err)
+		}
+		for i := range src {
+			if math.Float32bits(dst[i]) != math.Float32bits(src[i]) {
+				t.Fatalf("n=%d: elem %d read back %v, want %v", n, i, dst[i], src[i])
+			}
+		}
+		if n > 0 {
+			short := make([]float32, n+1)
+			if err := readFloats(bytes.NewReader(make([]byte, 4*n)), short, chunk); err == nil {
+				t.Fatalf("n=%d: reading past the data must error", n)
+			}
+		}
+	}
+}
+
+// TestCheckpointIOMemoryBounded: Save and LoadParams allocate a fixed
+// amount however large the checkpoint is, because parameter data streams
+// through one 64 KiB chunk instead of a tensor-sized buffer.
+func TestCheckpointIOMemoryBounded(t *testing.T) {
+	cfg := Tiny()
+	cfg.Vocab = 8000 // ~2 MB of embedding, far above the chunk
+	m, _ := New(cfg, 3)
+	var ckpt bytes.Buffer
+	if err := m.Save(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(f func()) uint64 {
+		best := uint64(math.MaxUint64)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			f()
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		return best
+	}
+	const bound = 256 << 10
+	if a := allocated(func() { _ = m.Save(io.Discard) }); a > bound {
+		t.Errorf("Save of a %d-byte checkpoint allocated %d bytes, want ≤ %d", ckpt.Len(), a, bound)
+	}
+	if a := allocated(func() { _ = m.LoadParams(bytes.NewReader(ckpt.Bytes())) }); a > bound {
+		t.Errorf("LoadParams of a %d-byte checkpoint allocated %d bytes, want ≤ %d", ckpt.Len(), a, bound)
 	}
 }

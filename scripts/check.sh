@@ -27,6 +27,9 @@ go test ./...
 echo "== numerics audit sweep (cross-path differential + gradcheck + determinism)"
 go run ./cmd/bertchar -audit >/dev/null
 
+echo "== GeLU fuzz (finite inputs: finite forward/backward within the float64-oracle bounds)"
+go test -run '^$' -fuzz FuzzGeLU -fuzztime 10s ./internal/kernels/
+
 echo "== loss-scaler cap + FP16 conformance"
 go test -run 'TestLossScaler' -count=1 ./internal/optim/
 go test -run 'TestF16' -count=1 ./internal/tensor/
