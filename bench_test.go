@@ -430,6 +430,30 @@ func BenchmarkRealLayerNorm(b *testing.B) {
 	}
 }
 
+// BenchmarkRealLayerNormBackward runs the train workload's LayerNorm
+// backward (B·n = 1024 rows of d_model 256): the per-row dX pass plus
+// the dGamma/dBeta column reductions.
+func BenchmarkRealLayerNormBackward(b *testing.B) {
+	const rows, n = 1024, 256
+	r := tensor.NewRNG(1)
+	x, y, dY, dX := make([]float32, rows*n), make([]float32, rows*n), make([]float32, rows*n), make([]float32, rows*n)
+	gamma, beta := make([]float32, n), make([]float32, n)
+	dGamma, dBeta := make([]float32, n), make([]float32, n)
+	mean, invStd := make([]float32, rows), make([]float32, rows)
+	for i := range x {
+		x[i], dY[i] = r.Float32(), r.Float32()-0.5
+	}
+	for i := range gamma {
+		gamma[i] = 1
+	}
+	kernels.LayerNormForward(y, x, gamma, beta, mean, invStd, rows, n, 1e-5)
+	b.SetBytes(int64(12 * rows * n))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kernels.LayerNormBackward(dX, dGamma, dBeta, dY, x, gamma, mean, invStd, rows, n)
+	}
+}
+
 // geluBenchInput returns the train workload's FC-1 activation size
 // (B=8, n=128, d_ff=1024) of pre-activations drawn from N(0, 2²), wide
 // enough that some inputs fall past erf32's ±4 clamp (|x| > 4√2).

@@ -25,16 +25,16 @@ func erf32(x float32) float32 {
 		x = -4
 	}
 	x2 := x * x
-	p := x2*-2.72614225801306e-10 + 2.77068142495902e-08
-	p = x2*p + -2.10102402082508e-06
-	p = x2*p + -5.69250639462346e-05
-	p = x2*p + -7.34990630326855e-04
-	p = x2*p + -2.95459980854025e-03
-	p = x2*p + -1.60960333262415e-02
-	q := x2*-1.45660718464996e-05 + -2.13374055278905e-04
-	q = x2*q + -1.68282697438203e-03
-	q = x2*q + -7.37332916720468e-03
-	q = x2*q + -1.42647390514189e-02
+	p := x2*erfP0 + erfP1
+	p = x2*p + erfP2
+	p = x2*p + erfP3
+	p = x2*p + erfP4
+	p = x2*p + erfP5
+	p = x2*p + erfP6
+	q := x2*erfQ0 + erfQ1
+	q = x2*q + erfQ2
+	q = x2*q + erfQ3
+	q = x2*q + erfQ4
 	e := x * p / q
 	if e > 1 {
 		return 1
@@ -44,6 +44,23 @@ func erf32(x float32) float32 {
 	}
 	return e
 }
+
+// erf32's numerator (erfP*) and denominator (erfQ*) coefficients, highest
+// power first. Named so the AVX-512 kernels read the same float32 values.
+const (
+	erfP0 = -2.72614225801306e-10
+	erfP1 = 2.77068142495902e-08
+	erfP2 = -2.10102402082508e-06
+	erfP3 = -5.69250639462346e-05
+	erfP4 = -7.34990630326855e-04
+	erfP5 = -2.95459980854025e-03
+	erfP6 = -1.60960333262415e-02
+	erfQ0 = -1.45660718464996e-05
+	erfQ1 = -2.13374055278905e-04
+	erfQ2 = -1.68282697438203e-03
+	erfQ3 = -7.37332916720468e-03
+	erfQ4 = -1.42647390514189e-02
+)
 
 const (
 	// exp32Max is the largest float32 x whose e^x is finite in float32.
@@ -59,6 +76,14 @@ const (
 	// roundShift is 1.5·2^23: adding and subtracting it rounds a float32
 	// of magnitude below 2^22 to the nearest integer.
 	roundShift = 12582912
+
+	// expQ0..expQ3 and 0.5 are Q(r), highest power first: Q interpolates
+	// (e^r - 1 - r)/r² at the five Chebyshev nodes of [-ln2/2, ln2/2]; its
+	// error is under 1e-8 relative, well below a float32 ulp.
+	expQ0 = 1.392617589e-03
+	expQ1 = 8.363173343e-03
+	expQ2 = 4.166655615e-02
+	expQ3 = 1.666657776e-01
 )
 
 // exp32 computes e^x in float32 by Cody-Waite reduction: x = k·ln2 + r
@@ -80,12 +105,9 @@ func exp32(x float32) float32 {
 	kf -= roundShift
 	r := x - kf*ln2Hi
 	r -= kf * ln2Lo
-	// Q interpolates (e^r - 1 - r)/r² at the five Chebyshev nodes of
-	// [-ln2/2, ln2/2]; its error is under 1e-8 relative, well below a
-	// float32 ulp.
-	q := r*1.392617589e-03 + 8.363173343e-03
-	q = r*q + 4.166655615e-02
-	q = r*q + 1.666657776e-01
+	q := r*expQ0 + expQ1
+	q = r*q + expQ2
+	q = r*q + expQ3
 	q = r*q + 0.5
 	p := 1 + (r + r*r*q)
 	k := int32(kf)

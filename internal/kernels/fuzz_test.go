@@ -83,18 +83,24 @@ func FuzzGEMMTransposeConsistency(f *testing.F) {
 
 // FuzzGEMMBlockedVsNaive: the cache-blocked packed path must agree with
 // the naive reference for arbitrary shapes (including dims that are not
-// multiples of the micro-tile), transpose combos, and alpha/beta. The
-// seed corpus pins the odd/prime dims and scaling factors from the
-// equivalence suite so `go test` replays them on every run.
+// multiples of the micro-tile), transpose combos, and alpha/beta, on every
+// kernel backend the host supports. The seed corpus pins the odd/prime
+// dims and scaling factors from the equivalence suite so `go test`
+// replays them on every run.
 func FuzzGEMMBlockedVsNaive(f *testing.F) {
-	// Odd and prime dims around the micro-tile (6x16) and block (120/256)
-	// boundaries; alphaSel/betaSel index {0, 1, -0.5}.
+	// Odd and prime dims straddling the micro-tiles (6x16 and 12x32) and
+	// the blocks (120/256); alphaSel/betaSel index {0, 1, -0.5}.
 	f.Add(uint64(7), uint16(1), uint16(1), uint16(1), uint8(0), uint8(1), uint8(1))
 	f.Add(uint64(11), uint16(3), uint16(17), uint16(63), uint8(1), uint8(1), uint8(0))
 	f.Add(uint64(13), uint16(63), uint16(129), uint16(17), uint8(2), uint8(2), uint8(1))
 	f.Add(uint64(17), uint16(129), uint16(63), uint16(129), uint8(3), uint8(1), uint8(2))
 	f.Add(uint64(19), uint16(121), uint16(257), uint16(31), uint8(2), uint8(0), uint8(1))
 	f.Add(uint64(23), uint16(6), uint16(16), uint16(256), uint8(0), uint8(2), uint8(2))
+	f.Add(uint64(29), uint16(11), uint16(31), uint16(257), uint8(1), uint8(1), uint8(2))
+	f.Add(uint64(31), uint16(13), uint16(33), uint16(255), uint8(2), uint8(2), uint8(0))
+	f.Add(uint64(37), uint16(12), uint16(32), uint16(5), uint8(3), uint8(1), uint8(1))
+	f.Add(uint64(41), uint16(25), uint16(65), uint16(120), uint8(0), uint8(1), uint8(2))
+	f.Add(uint64(43), uint16(119), uint16(95), uint16(121), uint8(3), uint8(2), uint8(1))
 	f.Fuzz(func(t *testing.T, seed uint64, mr, nr, kr uint16, combo, alphaSel, betaSel uint8) {
 		m, n, k := int(mr%160)+1, int(nr%160)+1, int(kr%160)+1
 		transA, transB := combo&1 != 0, combo&2 != 0
@@ -117,25 +123,41 @@ func FuzzGEMMBlockedVsNaive(f *testing.F) {
 		for i := range c0 {
 			c0[i] = next()
 		}
-		got := append([]float32(nil), c0...)
 		want := append([]float32(nil), c0...)
-		blockedFull(transA, transB, m, n, k, alpha, a, b, beta, got, true)
 		GEMMNaive(transA, transB, m, n, k, alpha, a, b, beta, want)
-		if d := maxAbsDiff(got, want); d > tolFor(k) {
-			t.Fatalf("tA=%v tB=%v m=%d n=%d k=%d alpha=%v beta=%v: max diff %v",
-				transA, transB, m, n, k, alpha, beta, d)
+		for _, be := range hostBackends {
+			got := append([]float32(nil), c0...)
+			withBackend(be, func() { blockedFull(transA, transB, m, n, k, alpha, a, b, beta, got, true) })
+			if d := maxAbsDiff(got, want); d > tolFor(k) {
+				t.Fatalf("%s tA=%v tB=%v m=%d n=%d k=%d alpha=%v beta=%v: max diff %v",
+					be.name, transA, transB, m, n, k, alpha, beta, d)
+			}
 		}
 	})
 }
 
 // FuzzGeLU: any finite input gives a finite forward and backward within
 // the oracle bounds of fastmath_test.go (forward ≤ geluFwdTol·max(1,|x|),
-// backward ≤ geluBwdTol absolute, against the float64 GELU).
+// backward ≤ geluBwdTol absolute, against the float64 GELU). Every input,
+// NaN and ±Inf included, also goes through each host backend's row
+// kernels inside a ragged row of its neighbours, with x at a
+// fuzz-chosen position, which must match the scalar bit for bit.
 func FuzzGeLU(f *testing.F) {
 	for _, x := range []float32{0, 1, -1, 0.5, -0.7518, 5.6568, -5.6568, 13.2, -13.2, 30, -30, 1e30, -1e30, math.MaxFloat32} {
 		f.Add(x)
 	}
 	f.Fuzz(func(t *testing.T, x float32) {
+		bits := math.Float32bits(x)
+		row := make([]float32, 1+bits%47)
+		for i := range row {
+			row[i] = math.Float32frombits(bits + uint32(i) - bits%uint32(len(row)))
+		}
+		buf := make([]float32, 3*len(row))
+		for _, b := range hostBackends {
+			if msg := geluRowMismatch(b, row, buf, buf[len(row):], buf[2*len(row):]); msg != "" {
+				t.Fatal(msg)
+			}
+		}
 		xv := float64(x)
 		if math.IsNaN(xv) || math.IsInf(xv, 0) {
 			return

@@ -230,7 +230,8 @@ func BatchedGEMM(batch int, transA, transB bool, m, n, k int, alpha float32, a [
 		}
 		return
 	}
-	mr, nr := gemmMR, gemmNR
+	kb := activeBackend.forWidth(n)
+	mr, nr := kb.mr, kb.nr
 	mRound := (m + mr - 1) / mr * mr
 	nRound := (n + nr - 1) / nr * nr
 	if int64(batch)*int64(mRound+nRound)*int64(k) > batchedPackCapFloats {

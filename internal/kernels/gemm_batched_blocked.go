@@ -39,7 +39,8 @@ const (
 // validated arguments and handled batch<2, empty dims, and the quick
 // alpha/k returns.
 func batchedBlocked(batch int, transA, transB bool, m, n, k int, alpha float32, a []float32, sA int, b []float32, sB int, beta float32, c []float32, sC int) {
-	mr, nr := gemmMR, gemmNR
+	kb := activeBackend.forWidth(n)
+	mr, nr := kb.mr, kb.nr
 	mRound := (m + mr - 1) / mr * mr
 	nRound := (n + nr - 1) / nr * nr
 	apb := getScratch(batch * mRound * k)
@@ -50,6 +51,7 @@ func batchedBlocked(batch int, transA, transB bool, m, n, k int, alpha float32, 
 	p.transA, p.transB = transA, transB
 	p.m, p.n, p.k = m, n, k
 	p.sA, p.sB = sA, sB
+	p.mr, p.nr = mr, nr
 	p.mRound, p.nRound = mRound, nRound
 	p.alpha = alpha
 	parallelRun(batch, 1, p)
@@ -71,7 +73,7 @@ func batchedBlocked(batch int, transA, transB bool, m, n, k int, alpha float32, 
 		segs = (n + segCols - 1) / segCols
 	}
 	t := batchedTilePool.Get().(*batchedTileState)
-	t.c, t.ap, t.bp = c, *apb, *bpb
+	t.kb, t.c, t.ap, t.bp = kb, c, *apb, *bpb
 	t.m, t.n, t.k = m, n, k
 	t.sC = sC
 	t.mRound, t.nRound = mRound, nRound
@@ -83,7 +85,7 @@ func batchedBlocked(batch int, transA, transB bool, m, n, k int, alpha float32, 
 		grain = batchedGrainFlops / max(per, 1)
 	}
 	parallelRun(items, grain, t)
-	t.c, t.ap, t.bp = nil, nil, nil
+	t.kb, t.c, t.ap, t.bp = nil, nil, nil, nil
 	batchedTilePool.Put(t)
 
 	putScratch(apb)
@@ -97,6 +99,7 @@ type batchedPackState struct {
 	transA, transB bool
 	m, n, k        int
 	sA, sB         int
+	mr, nr         int
 	mRound, nRound int
 	alpha          float32
 }
@@ -104,7 +107,7 @@ type batchedPackState struct {
 var batchedPackPool = sync.Pool{New: func() any { return new(batchedPackState) }}
 
 func (s *batchedPackState) runRange(lo, hi int) {
-	mr, nr := gemmMR, gemmNR
+	mr, nr := s.mr, s.nr
 	for i := lo; i < hi; i++ {
 		ai := s.a[i*s.sA : i*s.sA+s.m*s.k]
 		bi := s.b[i*s.sB : i*s.sB+s.k*s.n]
@@ -121,6 +124,7 @@ func (s *batchedPackState) runRange(lo, hi int) {
 // batchedTileState is the pooled phase-2 body: item t is one
 // (matrix, row block, column segment) piece of the batch.
 type batchedTileState struct {
+	kb             *kernelBackend
 	c, ap, bp      []float32
 	m, n, k        int
 	sC             int
@@ -151,7 +155,7 @@ func (s *batchedTileState) runRange(lo, hi int) {
 		bMat := s.bp[mat*s.nRound*s.k:]
 		for pc := 0; pc < s.k; pc += gemmKC {
 			kcb := min(gemmKC, s.k-pc)
-			microTileSweep(cm, s.n, aMat[s.mRound*pc:], bMat[s.nRound*pc:], kcb, i0, iEnd, j0, jEnd, s.m, s.n)
+			microTileSweep(s.kb, cm, s.n, aMat[s.mRound*pc:], bMat[s.nRound*pc:], kcb, i0, iEnd, j0, jEnd, s.m, s.n)
 		}
 	}
 }

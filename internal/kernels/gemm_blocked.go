@@ -1,6 +1,9 @@
 package kernels
 
-import "sync"
+import (
+	"os"
+	"sync"
+)
 
 // Cache-blocked packed GEMM, BLIS-style. The operand matrices are copied
 // into contiguous packed panels once per cache block — handling all four
@@ -25,7 +28,7 @@ import "sync"
 // exactly one worker with a fixed loop order, so results are bitwise
 // deterministic regardless of scheduling.
 const (
-	gemmMC = 120  // row block; multiple of both micro-tile heights (4 and 6)
+	gemmMC = 120  // row block; multiple of every micro-tile height (4, 6 and 12)
 	gemmKC = 256  // depth block: packed A block is 120×256×4 B ≈ 120 KiB (L2-resident)
 	gemmNC = 2048 // column block: packed B panel is 256×2048×4 B = 2 MiB (streams via L3)
 
@@ -33,36 +36,75 @@ const (
 	// multiple of gemmMC.
 	gemmStripe = 3840
 
-	// microTileMax is the largest micro-tile (6×16 SIMD kernel).
-	microTileMax = 6 * 16
+	// microTileMax is the largest micro-tile (12×32 AVX-512 kernel).
+	microTileMax = 12 * 32
 
 	// smallGEMMFlops: below this, packing overhead outweighs blocking
 	// gains and GEMM dispatches to the naive reference path instead.
 	smallGEMMFlops = 1 << 15
 )
 
-// Active micro-kernel geometry. The portable scalar kernel is the default;
-// on amd64 with AVX2+FMA an assembly 6×16 kernel is installed at init
-// (gemm_kernel_amd64.go). Tests switch backends via useScalarKernel /
-// useSIMDKernel to cross-check them.
-var (
-	gemmMR      = 4
-	gemmNR      = 4
-	microKernel func(kc int, a, b, c []float32, ldc int) = microKernel4x4
-)
+// kernelBackend is one set of inner kernels: the f32 GEMM micro-kernel
+// with its tile geometry, the int8 micro-kernel and the GeLU row kernels.
+// Exactly one is active. init installs the best one the host supports
+// (hostBackends: scalar everywhere, plus AVX2 and AVX-512 assembly on
+// capable amd64 hosts) unless DEMYSTBERT_NOSIMD is set; tests switch
+// between them with setBackend to cross-check them.
+type kernelBackend struct {
+	name    string
+	mr, nr  int
+	sgemm   func(kc int, a, b, c []float32, ldc int)
+	int8    func(kg int, a []uint8, b []int8, acc *[int8MR * int8NR]int32)
+	gelu    func(dst, x []float32)
+	geluBwd func(dX, dY, x []float32)
 
-// useScalarKernel installs the portable micro-kernel (also the permanent
-// state on non-amd64 builds and under DEMYSTBERT_NOSIMD=1).
-func useScalarKernel() {
-	gemmMR, gemmNR, microKernel = 4, 4, microKernel4x4
-	int8Kernel = gemmInt8Kernel4x16Go
+	// narrow, when set, is a backend bitwise-equal to this one with a
+	// narrower f32 tile, for products too narrow to fill this one's.
+	narrow *kernelBackend
+}
+
+// forWidth returns the backend to tile an n-column product with that
+// packs its own B operand: b, or b's narrower bitwise-equal sibling when
+// n fills at most half of b's tile width (the 16×16×8 attention
+// products of small models would otherwise compute mostly padding
+// through the edge-tile buffer).
+func (b *kernelBackend) forWidth(n int) *kernelBackend {
+	if b.narrow != nil && 2*n <= b.nr {
+		return b.narrow
+	}
+	return b
+}
+
+// scalarBackend is the portable backend: the permanent state on
+// non-amd64 builds and under DEMYSTBERT_NOSIMD=1.
+var scalarBackend = &kernelBackend{
+	name: "scalar", mr: 4, nr: 4,
+	sgemm: microKernel4x4, int8: gemmInt8Kernel4x16Go,
+	gelu: geluRowGo, geluBwd: geluBwdRowGo,
+}
+
+// activeBackend is the installed backend, read on every kernel call.
+var activeBackend = scalarBackend
+
+// setBackend installs b and returns the backend it replaces.
+func setBackend(b *kernelBackend) (prev *kernelBackend) {
+	prev = activeBackend
+	activeBackend = b
+	return prev
+}
+
+func init() {
+	if os.Getenv("DEMYSTBERT_NOSIMD") == "" {
+		setBackend(hostBackends[len(hostBackends)-1])
+	}
 }
 
 // gemmBlocked computes C += alpha·op(A)·op(B) (beta is applied by the
 // caller) with cache blocking and packing. par selects pool parallelism;
 // BatchedGEMM passes false so per-matrix GEMMs never nest dispatch.
 func gemmBlocked(transA, transB bool, m, n, k int, alpha float32, a, b, c []float32, par bool) {
-	mr, nr := gemmMR, gemmNR
+	kb := activeBackend.forWidth(n)
+	mr, nr := kb.mr, kb.nr
 	kc0 := min(k, gemmKC)
 	ap := getScratch(((min(m, gemmStripe) + mr - 1) / mr) * mr * kc0)
 	bp := getScratch(((min(n, gemmNC) + nr - 1) / nr) * nr * kc0)
@@ -75,7 +117,7 @@ func gemmBlocked(transA, transB bool, m, n, k int, alpha float32, a, b, c []floa
 			for jc := 0; jc < n; jc += gemmNC {
 				ncb := min(gemmNC, n-jc)
 				packB(transB, *bp, b, jc, ncb, pc, kcb, n, k, nr, par)
-				g.run(c, *ap, *bp, n, io, ms, jc, ncb, kcb, par)
+				g.run(kb, c, *ap, *bp, n, io, ms, jc, ncb, kcb, par)
 			}
 		}
 	}
@@ -88,6 +130,7 @@ func gemmBlocked(transA, transB bool, m, n, k int, alpha float32, a, b, c []floa
 // (stripe, pc, jc) step. Work item t maps to (row block t/segs, column
 // segment t%segs); items touch disjoint regions of C.
 type gemmState struct {
+	kb      *kernelBackend // the backend the panels were packed for
 	c       []float32
 	ap, bp  []float32
 	ldc     int
@@ -107,7 +150,7 @@ type gemmState struct {
 
 var gemmStatePool = sync.Pool{New: func() any { return new(gemmState) }}
 
-func (g *gemmState) run(c, ap, bp []float32, ldc, i0, ms, jc, ncb, kcb int, par bool) {
+func (g *gemmState) run(kb *kernelBackend, c, ap, bp []float32, ldc, i0, ms, jc, ncb, kcb int, par bool) {
 	icBlocks := (ms + gemmMC - 1) / gemmMC
 	segs, segCols := 1, ncb
 	w := 1
@@ -118,7 +161,7 @@ func (g *gemmState) run(c, ap, bp []float32, ldc, i0, ms, jc, ncb, kcb int, par 
 		// Few row blocks: split columns too, keeping ≥ ~3 items per
 		// worker for dynamic balance but segments at least two
 		// micro-panels wide so packed B reuse stays intact.
-		nr := gemmNR
+		nr := kb.nr
 		target := (3*w + icBlocks - 1) / icBlocks
 		if maxSegs := max(ncb/(2*nr), 1); target > maxSegs {
 			target = maxSegs
@@ -126,7 +169,7 @@ func (g *gemmState) run(c, ap, bp []float32, ldc, i0, ms, jc, ncb, kcb int, par 
 		segCols = max((((ncb+target-1)/target+nr-1)/nr)*nr, nr)
 		segs = (ncb + segCols - 1) / segCols
 	}
-	g.c, g.ap, g.bp = c, ap, bp
+	g.kb, g.c, g.ap, g.bp = kb, c, ap, bp
 	g.ldc, g.i0, g.ms, g.jc, g.ncb, g.kcb = ldc, i0, ms, jc, ncb, kcb
 	g.segs, g.segCols = segs, segCols
 	items := icBlocks * segs
@@ -135,7 +178,7 @@ func (g *gemmState) run(c, ap, bp []float32, ldc, i0, ms, jc, ncb, kcb int, par 
 	} else {
 		g.runRange(0, items)
 	}
-	g.c, g.ap, g.bp = nil, nil, nil
+	g.kb, g.c, g.ap, g.bp = nil, nil, nil, nil
 }
 
 func (g *gemmState) runRange(lo, hi int) {
@@ -152,7 +195,7 @@ func (g *gemmState) tile(t int) {
 	iEnd := min(i+gemmMC, g.ms)
 	j0 := (t % g.segs) * g.segCols
 	jEnd := min(j0+g.segCols, g.ncb)
-	microTileSweep(g.c[g.i0*g.ldc+g.jc:], g.ldc, g.ap, g.bp, g.kcb, i, iEnd, j0, jEnd, g.ms, g.ncb)
+	microTileSweep(g.kb, g.c[g.i0*g.ldc+g.jc:], g.ldc, g.ap, g.bp, g.kcb, i, iEnd, j0, jEnd, g.ms, g.ncb)
 	if g.epOn && g.ep != nil {
 		g.ep.applyTile(g.c, g.ldc, g.i0+i, g.i0+iEnd, g.jc+j0, g.jc+jEnd)
 	}

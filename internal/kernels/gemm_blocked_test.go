@@ -23,12 +23,26 @@ func blockedFull(transA, transB bool, m, n, k int, alpha float32, a, b []float32
 	gemmBlocked(transA, transB, m, n, k, alpha, a, b, c, par)
 }
 
-// withScalarKernel runs f under the portable micro-kernel, then restores
-// the best available backend.
-func withScalarKernel(f func()) {
-	useScalarKernel()
-	defer useSIMDKernel()
+// withBackend runs f with backend b installed, then restores the backend
+// that was active before.
+func withBackend(b *kernelBackend, f func()) {
+	prev := setBackend(b)
+	defer setBackend(prev)
 	f()
+}
+
+// withScalarKernel runs f under the portable backend.
+func withScalarKernel(f func()) { withBackend(scalarBackend, f) }
+
+// forEachBackend runs f as one subtest per kernel backend the host
+// supports: the installed backend as "active", every other one by name.
+func forEachBackend(t *testing.T, f func(t *testing.T)) {
+	t.Run("active", f)
+	for _, b := range hostBackends {
+		if b != activeBackend {
+			t.Run(b.name, func(t *testing.T) { withBackend(b, func() { f(t) }) })
+		}
+	}
 }
 
 // tolFor scales the comparison tolerance with the accumulation depth: the
@@ -38,8 +52,9 @@ func tolFor(k int) float64 { return 1e-5 * float64(k+16) }
 
 // TestGEMMBlockedEquivalence is the blocked-vs-naive oracle suite required
 // by the refactor: all four transpose combinations, odd/prime and
-// block-boundary-crossing dims, alpha/beta grid, on both micro-kernel
-// backends and both the parallel and serial drivers.
+// block-boundary-crossing dims, alpha/beta grid, on every micro-kernel
+// backend the host supports ("simd" is the installed one) and both the
+// parallel and serial drivers.
 func TestGEMMBlockedEquivalence(t *testing.T) {
 	dims := []int{1, 3, 17, 63, 129, 257}
 	alphas := []float32{0, 1, -0.5}
@@ -78,6 +93,14 @@ func TestGEMMBlockedEquivalence(t *testing.T) {
 	t.Run("scalar-serial", func(t *testing.T) {
 		withScalarKernel(func() { run(t, false) })
 	})
+	// Every other backend the host supports (AVX2 under AVX-512).
+	for _, b := range hostBackends {
+		if b == activeBackend || b == scalarBackend {
+			continue
+		}
+		t.Run(b.name+"-parallel", func(t *testing.T) { withBackend(b, func() { run(t, true) }) })
+		t.Run(b.name+"-serial", func(t *testing.T) { withBackend(b, func() { run(t, false) }) })
+	}
 }
 
 // TestGEMMBlockedEquivalenceWorkers exercises the dynamic tile scheduler

@@ -21,7 +21,7 @@ import (
 // Numerics contract: the fused write-back performs the exact same float32
 // expressions, in the same order, as the unfused reference sequence
 // (AddBias → GeLUForward / AddBias → residual add → LayerNormForward),
-// sharing the scalar helpers geluScalar and layerNormRowStats/-Apply. The
+// sharing the backend's GeLU row kernel and layerNormRowStats/-Apply. The
 // engine never contracts a+b+c or reorders row reductions, so fused and
 // unfused results are bitwise identical on the same micro-kernel backend —
 // an invariant the audit harness pins (internal/audit).
@@ -159,7 +159,7 @@ func GEMMPackedEpilogue(transA bool, m, n, k int, alpha float32, a []float32, pb
 	}
 	if !pb.Matches(pb.transB, n, k) {
 		panic(fmt.Sprintf("kernels: GEMMPackedEpilogue operand packed for n=%d k=%d nr=%d, called with n=%d k=%d nr=%d — repack required",
-			pb.n, pb.k, pb.nr, n, k, gemmNR))
+			pb.n, pb.k, pb.nr, n, k, activeBackend.nr))
 	}
 	checkGEMMArgs(transA, pb.transB, m, n, k, a, pb.src, c)
 	if m == 0 || n == 0 {
@@ -252,7 +252,8 @@ func gemmPackedFused(transA bool, m, n, k int, alpha float32, a []float32, pb *P
 		epilogueFusedBiasResLN.Inc()
 	}
 	scaleC(c[:m*n], 0)
-	mr := gemmMR
+	kb := activeBackend
+	mr := kb.mr
 	kc0 := min(k, gemmKC)
 	ap := getScratch(((min(m, gemmStripe) + mr - 1) / mr) * mr * kc0)
 	g := gemmStatePool.Get().(*gemmState)
@@ -263,7 +264,7 @@ func gemmPackedFused(transA bool, m, n, k int, alpha float32, a []float32, pb *P
 			kcb := min(gemmKC, k-pc)
 			g.epOn = pc+gemmKC >= k
 			packA(transA, *ap, a, io, ms, pc, kcb, m, k, alpha, mr, true)
-			g.run(c, *ap, pb.buf[pb.panelW*pc:], n, io, ms, 0, n, kcb, true)
+			g.run(kb, c, *ap, pb.buf[pb.panelW*pc:], n, io, ms, 0, n, kcb, true)
 		}
 		if ep.Kind == EpilogueBiasResidualLayerNorm {
 			ep.finalizeLNRows(c, io, ms, n)
@@ -290,20 +291,16 @@ func (ep *Epilogue) applyTile(c []float32, ld, r0, r1, c0, c1 int) {
 			}
 		}
 	case EpilogueBiasGeLU:
+		bias, gelu := ep.Bias[c0:c1], activeBackend.gelu
 		for r := r0; r < r1; r++ {
-			row := c[r*ld : r*ld+c1]
+			row := c[r*ld+c0 : r*ld+c1]
+			for j := range row {
+				row[j] += bs * bias[j]
+			}
 			if ep.X != nil {
-				xrow := ep.X[r*ld : r*ld+c1]
-				for j := c0; j < c1; j++ {
-					pre := row[j] + bs*ep.Bias[j]
-					xrow[j] = pre
-					row[j] = geluScalar(pre)
-				}
-				continue
+				copy(ep.X[r*ld+c0:r*ld+c1], row)
 			}
-			for j := c0; j < c1; j++ {
-				row[j] = geluScalar(row[j] + bs*ep.Bias[j])
-			}
+			gelu(row, row)
 		}
 	case EpilogueBiasResidualLayerNorm:
 		for r := r0; r < r1; r++ {

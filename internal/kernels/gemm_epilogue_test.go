@@ -96,91 +96,96 @@ var epilogueKinds = []EpilogueKind{EpilogueBias, EpilogueBiasGeLU, EpilogueBiasR
 // a serial f64-free reference built from the same scalar helpers.
 func TestGEMMPackedEpilogueMatchesReference(t *testing.T) {
 	r := tensor.NewRNG(41)
-	shapes := [][3]int{
-		{1, 1, 1}, {3, 5, 7}, {6, 16, 8}, {7, 17, 33},
-		{64, 64, 64}, {129, 96, 65}, {37, 200, 48},
-	}
-	for _, kind := range epilogueKinds {
-		for _, sh := range shapes {
-			m, n, k := sh[0], sh[1], sh[2]
-			a := randSlice(r, m*k)
-			b := randSlice(r, k*n)
-			pb := PackWeight(false, n, k, b)
-			ep := makeEpilogue(r, kind, m, n, true)
+	forEachBackend(t, func(t *testing.T) {
+		shapes := [][3]int{
+			{1, 1, 1}, {3, 5, 7}, {6, 16, 8}, {7, 17, 33},
+			{64, 64, 64}, {129, 96, 65}, {37, 200, 48},
+		}
+		for _, kind := range epilogueKinds {
+			for _, sh := range shapes {
+				m, n, k := sh[0], sh[1], sh[2]
+				a := randSlice(r, m*k)
+				b := randSlice(r, k*n)
+				pb := PackWeight(false, n, k, b)
+				ep := makeEpilogue(r, kind, m, n, true)
 
-			got := make([]float32, m*n)
-			GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, got)
+				got := make([]float32, m*n)
+				GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, got)
 
-			want := make([]float32, m*n)
-			refGEMM(false, false, m, n, k, 1, a, b, 0, want)
-			wep := cloneEpilogue(ep, m, n)
-			refEpilogue(wep, want, m, n)
+				want := make([]float32, m*n)
+				refGEMM(false, false, m, n, k, 1, a, b, 0, want)
+				wep := cloneEpilogue(ep, m, n)
+				refEpilogue(wep, want, m, n)
 
-			if d := maxAbsDiff(got, want); d > 2e-4 {
-				t.Errorf("%s %dx%dx%d: output max diff %v", kind, m, n, k, d)
-			}
-			if ep.X != nil {
-				if d := maxAbsDiff(ep.X, wep.X); d > 2e-4 {
-					t.Errorf("%s %dx%dx%d: X save max diff %v", kind, m, n, k, d)
+				if d := maxAbsDiff(got, want); d > 2e-4 {
+					t.Errorf("%s %dx%dx%d: output max diff %v", kind, m, n, k, d)
 				}
-			}
-			if ep.Mean != nil {
-				if d := maxAbsDiff(ep.Mean, wep.Mean); d > 1e-4 {
-					t.Errorf("%s %dx%dx%d: Mean max diff %v", kind, m, n, k, d)
+				if ep.X != nil {
+					if d := maxAbsDiff(ep.X, wep.X); d > 2e-4 {
+						t.Errorf("%s %dx%dx%d: X save max diff %v", kind, m, n, k, d)
+					}
 				}
-				if d := maxAbsDiff(ep.InvStd, wep.InvStd); d > 1e-2 {
-					t.Errorf("%s %dx%dx%d: InvStd max diff %v", kind, m, n, k, d)
+				if ep.Mean != nil {
+					if d := maxAbsDiff(ep.Mean, wep.Mean); d > 1e-4 {
+						t.Errorf("%s %dx%dx%d: Mean max diff %v", kind, m, n, k, d)
+					}
+					if d := maxAbsDiff(ep.InvStd, wep.InvStd); d > 1e-2 {
+						t.Errorf("%s %dx%dx%d: InvStd max diff %v", kind, m, n, k, d)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestGEMMPackedEpilogueFusedBitwiseUnfused pins the core numerics
 // contract: the fused write-back and the forced unfused reference paths
-// produce bit-identical outputs and save buffers on the same backend.
+// produce bit-identical outputs and save buffers on the same backend, for
+// every backend the host supports.
 func TestGEMMPackedEpilogueFusedBitwiseUnfused(t *testing.T) {
 	r := tensor.NewRNG(42)
-	for _, kind := range epilogueKinds {
-		for _, sh := range [][3]int{{7, 17, 33}, {64, 64, 64}, {130, 96, 96}, {33, 257, 48}} {
-			m, n, k := sh[0], sh[1], sh[2]
-			a := randSlice(r, m*k)
-			b := randSlice(r, k*n)
-			pb := PackWeight(false, n, k, b)
-			ep := makeEpilogue(r, kind, m, n, true)
+	forEachBackend(t, func(t *testing.T) {
+		for _, kind := range epilogueKinds {
+			for _, sh := range [][3]int{{7, 17, 33}, {64, 64, 64}, {130, 96, 96}, {33, 257, 48}} {
+				m, n, k := sh[0], sh[1], sh[2]
+				a := randSlice(r, m*k)
+				b := randSlice(r, k*n)
+				pb := PackWeight(false, n, k, b)
+				ep := makeEpilogue(r, kind, m, n, true)
 
-			fused := make([]float32, m*n)
-			old := SetGEMMPath(GEMMPathFused)
-			GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, fused)
-			SetGEMMPath(GEMMPathPacked)
-			unfused := make([]float32, m*n)
-			uep := cloneEpilogue(ep, m, n)
-			GEMMPackedEpilogue(false, m, n, k, 1, a, pb, uep, unfused)
-			SetGEMMPath(old)
+				fused := make([]float32, m*n)
+				old := SetGEMMPath(GEMMPathFused)
+				GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, fused)
+				SetGEMMPath(GEMMPathPacked)
+				unfused := make([]float32, m*n)
+				uep := cloneEpilogue(ep, m, n)
+				GEMMPackedEpilogue(false, m, n, k, 1, a, pb, uep, unfused)
+				SetGEMMPath(old)
 
-			for i := range fused {
-				if math.Float32bits(fused[i]) != math.Float32bits(unfused[i]) {
-					t.Fatalf("%s %dx%dx%d: fused/unfused diverge at %d: %v vs %v",
-						kind, m, n, k, i, fused[i], unfused[i])
-				}
-			}
-			if ep.X != nil {
-				for i := range ep.X {
-					if math.Float32bits(ep.X[i]) != math.Float32bits(uep.X[i]) {
-						t.Fatalf("%s %dx%dx%d: X saves diverge at %d", kind, m, n, k, i)
+				for i := range fused {
+					if math.Float32bits(fused[i]) != math.Float32bits(unfused[i]) {
+						t.Fatalf("%s %dx%dx%d: fused/unfused diverge at %d: %v vs %v",
+							kind, m, n, k, i, fused[i], unfused[i])
 					}
 				}
-			}
-			if ep.Mean != nil {
-				for i := range ep.Mean {
-					if math.Float32bits(ep.Mean[i]) != math.Float32bits(uep.Mean[i]) ||
-						math.Float32bits(ep.InvStd[i]) != math.Float32bits(uep.InvStd[i]) {
-						t.Fatalf("%s %dx%dx%d: LN stats diverge at row %d", kind, m, n, k, i)
+				if ep.X != nil {
+					for i := range ep.X {
+						if math.Float32bits(ep.X[i]) != math.Float32bits(uep.X[i]) {
+							t.Fatalf("%s %dx%dx%d: X saves diverge at %d", kind, m, n, k, i)
+						}
+					}
+				}
+				if ep.Mean != nil {
+					for i := range ep.Mean {
+						if math.Float32bits(ep.Mean[i]) != math.Float32bits(uep.Mean[i]) ||
+							math.Float32bits(ep.InvStd[i]) != math.Float32bits(uep.InvStd[i]) {
+							t.Fatalf("%s %dx%dx%d: LN stats diverge at row %d", kind, m, n, k, i)
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestGEMMPackedEpilogueWorkerInvariance: fused results must not depend on
@@ -308,7 +313,9 @@ func TestEpilogueDebugBiasScaleOnlySkewsFused(t *testing.T) {
 }
 
 // TestGEMMPackedEpilogueZeroAlloc: the fused engine must be allocation-free
-// in steady state for all kinds, including LN row finalization. Wired into
+// in steady state for all kinds, including LN row finalization, on every
+// backend (the bias+GeLU kind runs the vector GeLU row kernel on AVX-512
+// hosts). Wired into
 // scripts/check.sh next to the other alloc guards.
 func TestGEMMPackedEpilogueZeroAlloc(t *testing.T) {
 	if raceEnabled {
@@ -317,19 +324,47 @@ func TestGEMMPackedEpilogueZeroAlloc(t *testing.T) {
 	r := tensor.NewRNG(48)
 	m, n, k := 128, 128, 128
 	a := randSlice(r, m*k)
-	pb := PackWeight(false, n, k, randSlice(r, k*n))
 	c := make([]float32, m*n)
 	old := SetMaxWorkers(1)
 	defer SetMaxWorkers(old)
-	for _, kind := range epilogueKinds {
-		ep := makeEpilogue(r, kind, m, n, true)
-		GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, c) // warm pools
-		if avg := testing.AllocsPerRun(10, func() {
-			GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, c)
-		}); avg != 0 {
-			t.Errorf("%s: fused epilogue allocates %v per op in steady state, want 0", kind, avg)
+	forEachBackend(t, func(t *testing.T) {
+		pb := PackWeight(false, n, k, randSlice(r, k*n))
+		for _, kind := range epilogueKinds {
+			ep := makeEpilogue(r, kind, m, n, true)
+			GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, c) // warm pools
+			if avg := testing.AllocsPerRun(10, func() {
+				GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, c)
+			}); avg != 0 {
+				t.Errorf("%s: fused epilogue allocates %v per op in steady state, want 0", kind, avg)
+			}
 		}
+	})
+}
+
+// TestGeLUZeroAlloc: the stand-alone GeLU forward and backward allocate
+// nothing in steady state on any backend, serial or on the worker pool.
+// Wired into scripts/check.sh with the other alloc guards.
+func TestGeLUZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
 	}
+	r := tensor.NewRNG(53)
+	x, dy := randSlice(r, 4099), randSlice(r, 4099)
+	y, dx := make([]float32, len(x)), make([]float32, len(x))
+	forEachBackend(t, func(t *testing.T) {
+		for _, w := range []int{1, 2} {
+			old := SetMaxWorkers(w)
+			GeLUForward(y, x) // warm the pool
+			GeLUBackward(dx, dy, x)
+			if avg := testing.AllocsPerRun(10, func() { GeLUForward(y, x) }); avg != 0 {
+				t.Errorf("workers=%d: GeLUForward allocates %v per op, want 0", w, avg)
+			}
+			if avg := testing.AllocsPerRun(10, func() { GeLUBackward(dx, dy, x) }); avg != 0 {
+				t.Errorf("workers=%d: GeLUBackward allocates %v per op, want 0", w, avg)
+			}
+			SetMaxWorkers(old)
+		}
+	})
 }
 
 // TestBiasGeLUEpilogueBitwiseStandaloneKernels pins the fused bias+GeLU
@@ -337,49 +372,53 @@ func TestGEMMPackedEpilogueZeroAlloc(t *testing.T) {
 // with no tail) → AddBias → GeLUForward — bitwise, with and without the
 // pre-activation save, which is checked too. Unlike the reference above, the expected values
 // never call geluScalar directly, so a fused path whose GeLU drifted from
-// GeLUForward's fails here. m and n are ragged against the 6x16 tile, and
-// the smallest shape takes auto's naive route.
+// GeLUForward's fails here. m and n are ragged against the 6x16 and 12x32
+// tiles, and the smallest shape takes auto's naive route. Runs on every
+// host backend, so the vector GeLU row kernel sees tile rows of every
+// ragged width.
 func TestBiasGeLUEpilogueBitwiseStandaloneKernels(t *testing.T) {
 	r := tensor.NewRNG(49)
-	for _, sh := range [][3]int{{5, 9, 3}, {7, 17, 33}, {131, 83, 64}, {65, 250, 40}} {
-		m, n, k := sh[0], sh[1], sh[2]
-		a := randSlice(r, m*k)
-		b := randSlice(r, k*n)
-		for i := range a {
-			a[i] *= 3 // spread pre-activations past erf32's clamp
-		}
-		bias := randSlice(r, n)
-		pb := PackWeight(false, n, k, b)
-		pb8 := PackWeightInt8(false, n, k, b)
-		for _, path := range []GEMMPath{GEMMPathAuto, GEMMPathFused, GEMMPathInt8} {
-			for _, save := range []bool{true, false} {
-				old := SetGEMMPath(path)
-				ep := &Epilogue{Kind: EpilogueBiasGeLU, Bias: bias}
-				if save {
-					ep.X = make([]float32, m*n)
-				}
-				got := make([]float32, m*n)
-				want := make([]float32, m*n)
-				if path == GEMMPathInt8 {
-					GEMMInt8(m, n, k, a, pb8, ep, got)
-					GEMMInt8(m, n, k, a, pb8, nil, want)
-				} else {
-					GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, got)
-					GEMMPacked(false, m, n, k, 1, a, pb, 0, want)
-				}
-				SetGEMMPath(old)
-				AddBias(want, bias, m, n)
-				pre := append([]float32(nil), want...)
-				GeLUForward(want, want)
-				for i := range want {
-					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-						t.Fatalf("%v save=%v %dx%dx%d: output[%d] = %v, stand-alone kernels %v", path, save, m, n, k, i, got[i], want[i])
+	forEachBackend(t, func(t *testing.T) {
+		for _, sh := range [][3]int{{5, 9, 3}, {7, 17, 33}, {131, 83, 64}, {65, 250, 40}} {
+			m, n, k := sh[0], sh[1], sh[2]
+			a := randSlice(r, m*k)
+			b := randSlice(r, k*n)
+			for i := range a {
+				a[i] *= 3 // spread pre-activations past erf32's clamp
+			}
+			bias := randSlice(r, n)
+			pb := PackWeight(false, n, k, b)
+			pb8 := PackWeightInt8(false, n, k, b)
+			for _, path := range []GEMMPath{GEMMPathAuto, GEMMPathFused, GEMMPathInt8} {
+				for _, save := range []bool{true, false} {
+					old := SetGEMMPath(path)
+					ep := &Epilogue{Kind: EpilogueBiasGeLU, Bias: bias}
+					if save {
+						ep.X = make([]float32, m*n)
 					}
-					if save && math.Float32bits(ep.X[i]) != math.Float32bits(pre[i]) {
-						t.Fatalf("%v %dx%dx%d: saved X[%d] = %v, stand-alone kernels %v", path, m, n, k, i, ep.X[i], pre[i])
+					got := make([]float32, m*n)
+					want := make([]float32, m*n)
+					if path == GEMMPathInt8 {
+						GEMMInt8(m, n, k, a, pb8, ep, got)
+						GEMMInt8(m, n, k, a, pb8, nil, want)
+					} else {
+						GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, got)
+						GEMMPacked(false, m, n, k, 1, a, pb, 0, want)
+					}
+					SetGEMMPath(old)
+					AddBias(want, bias, m, n)
+					pre := append([]float32(nil), want...)
+					GeLUForward(want, want)
+					for i := range want {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("%v save=%v %dx%dx%d: output[%d] = %v, stand-alone kernels %v", path, save, m, n, k, i, got[i], want[i])
+						}
+						if save && math.Float32bits(ep.X[i]) != math.Float32bits(pre[i]) {
+							t.Fatalf("%v %dx%dx%d: saved X[%d] = %v, stand-alone kernels %v", path, m, n, k, i, ep.X[i], pre[i])
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }

@@ -165,11 +165,10 @@ func quantU8(x float32) uint8 {
 	return uint8(q)
 }
 
-// int8Kernel computes one 4×16 micro-tile over kg packed depth groups,
-// overwriting acc (row-major [4][16] int32). Installed per backend:
-// pure Go by default, AVX2 assembly on capable amd64 hosts. Integer
-// accumulation is exact, so both backends produce identical bits.
-var int8Kernel func(kg int, a []uint8, b []int8, acc *[int8MR * int8NR]int32) = gemmInt8Kernel4x16Go
+// The int8 micro-kernel (kernelBackend.int8) computes one 4×16 micro-tile
+// over kg packed depth groups, overwriting acc (row-major [4][16] int32):
+// pure Go on the scalar backend, AVX2 assembly on the amd64 ones. Integer
+// accumulation is exact, so every backend produces identical bits.
 
 // gemmInt8Kernel4x16Go is the portable micro-kernel and the cross-check
 // oracle for the assembly one. a holds kg groups of 16 bytes (row r,
@@ -354,6 +353,7 @@ func (s *int8RunState) runRange(lo, hi int) {
 	bPanelBytes := kg * int8NR * int8KGroup
 	colPanels := (n + int8NR - 1) / int8NR
 	acc := int8AccPool.Get().(*[int8MR * int8NR]int32)
+	kern, gelu := activeBackend.int8, activeBackend.gelu
 	bs := debugBiasScale()
 	kind := EpilogueNone
 	if ep != nil {
@@ -363,7 +363,7 @@ func (s *int8RunState) runRange(lo, hi int) {
 		aPanel := s.qa[rp*aPanelBytes:]
 		rows := min(int8MR, s.m-rp*int8MR)
 		for p := 0; p < colPanels; p++ {
-			int8Kernel(kg, aPanel, pb.qw[p*bPanelBytes:], acc)
+			kern(kg, aPanel, pb.qw[p*bPanelBytes:], acc)
 			j0 := p * int8NR
 			cols := min(int8NR, n-j0)
 			for r := 0; r < rows; r++ {
@@ -376,21 +376,18 @@ func (s *int8RunState) runRange(lo, hi int) {
 						col := j0 + j
 						row[col] = sar * pb.scales[col] * float32(accr[j]-int8ActZero*pb.colSum[col])
 					}
-				case EpilogueBias:
+				case EpilogueBias, EpilogueBiasGeLU:
 					for j := 0; j < cols; j++ {
 						col := j0 + j
 						v := sar * pb.scales[col] * float32(accr[j]-int8ActZero*pb.colSum[col])
 						row[col] = v + bs*ep.Bias[col]
 					}
-				case EpilogueBiasGeLU:
-					for j := 0; j < cols; j++ {
-						col := j0 + j
-						v := sar * pb.scales[col] * float32(accr[j]-int8ActZero*pb.colSum[col])
-						pre := v + bs*ep.Bias[col]
+					if kind == EpilogueBiasGeLU {
+						pre := row[j0 : j0+cols]
 						if ep.X != nil {
-							ep.X[(rp*int8MR+r)*n+col] = pre
+							copy(ep.X[(rp*int8MR+r)*n+j0:], pre)
 						}
-						row[col] = geluScalar(pre)
+						gelu(pre, pre)
 					}
 				case EpilogueBiasResidualLayerNorm:
 					res := ep.Residual[(rp*int8MR+r)*n:]

@@ -60,13 +60,10 @@ func refGEMMInt8(m, n, k int, a []float32, pb *PackedBInt8, c []float32) {
 	}
 }
 
-// TestInt8KernelAsmMatchesGo cross-checks the AVX2 micro-kernel against
-// the portable Go one bit-for-bit on quantizer-realistic operands. Skipped
-// when the assembly kernel is not installed (non-AVX2 host or NOSIMD).
+// TestInt8KernelAsmMatchesGo cross-checks every host backend's int8
+// micro-kernel against the portable Go one bit-for-bit on
+// quantizer-realistic operands.
 func TestInt8KernelAsmMatchesGo(t *testing.T) {
-	if !useSIMDKernel() {
-		t.Skip("no SIMD backend on this host")
-	}
 	r := tensor.NewRNG(50)
 	for _, kg := range []int{1, 2, 3, 7, 64, 193} {
 		a := make([]uint8, kg*int8MR*int8KGroup)
@@ -77,11 +74,14 @@ func TestInt8KernelAsmMatchesGo(t *testing.T) {
 		for i := range b {
 			b[i] = int8(r.Intn(2*int8WeightMax+1) - int8WeightMax) // [-63,63]
 		}
-		var accAsm, accGo [int8MR * int8NR]int32
-		int8Kernel4x16SIMD(kg, a, b, &accAsm)
+		var accGo [int8MR * int8NR]int32
 		gemmInt8Kernel4x16Go(kg, a, b, &accGo)
-		if accAsm != accGo {
-			t.Fatalf("kg=%d: asm and Go kernels disagree\nasm: %v\ngo:  %v", kg, accAsm, accGo)
+		for _, be := range hostBackends {
+			var acc [int8MR * int8NR]int32
+			be.int8(kg, a, b, &acc)
+			if acc != accGo {
+				t.Fatalf("kg=%d: %s and Go kernels disagree\n%s: %v\ngo:  %v", kg, be.name, be.name, acc, accGo)
+			}
 		}
 	}
 }

@@ -110,6 +110,147 @@ kloop:
 	VZEROUPPER
 	RET
 
+// func sgemmKernel12x32(kc int64, a, b, c *float32, ldc int64)
+//
+// AVX-512F twin of sgemmKernel6x16 with the same contract: C[0:12][0:32]
+// += Apanel·Bpanel as a continuation fold seeded from C. Every C element
+// is still one FMA chain over the depth steps in order, so the result is
+// bitwise-equal to the 6×16 kernel on the same operands.
+// a: packed 12-row micro-panel, 12 floats per depth step.
+// b: packed 32-column micro-panel, 32 floats per depth step.
+//
+// Register plan: Z0-Z23 hold the 12×32 accumulator tile (two 16-lane
+// vectors per row), Z24/Z25 the current B vectors, Z26-Z31 broadcast A
+// elements. 24 FMAs per depth step.
+TEXT ·sgemmKernel12x32(SB), NOSPLIT, $0-40
+	MOVQ kc+0(FP), CX
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ c+24(FP), DI
+	MOVQ ldc+32(FP), R8
+	SHLQ $2, R8                 // row stride in bytes
+
+	// Seed the accumulator tile from C, row by row.
+	MOVQ    DI, R9
+	VMOVUPS (R9), Z0
+	VMOVUPS 64(R9), Z1
+	ADDQ    R8, R9
+	VMOVUPS (R9), Z2
+	VMOVUPS 64(R9), Z3
+	ADDQ    R8, R9
+	VMOVUPS (R9), Z4
+	VMOVUPS 64(R9), Z5
+	ADDQ    R8, R9
+	VMOVUPS (R9), Z6
+	VMOVUPS 64(R9), Z7
+	ADDQ    R8, R9
+	VMOVUPS (R9), Z8
+	VMOVUPS 64(R9), Z9
+	ADDQ    R8, R9
+	VMOVUPS (R9), Z10
+	VMOVUPS 64(R9), Z11
+	ADDQ    R8, R9
+	VMOVUPS (R9), Z12
+	VMOVUPS 64(R9), Z13
+	ADDQ    R8, R9
+	VMOVUPS (R9), Z14
+	VMOVUPS 64(R9), Z15
+	ADDQ    R8, R9
+	VMOVUPS (R9), Z16
+	VMOVUPS 64(R9), Z17
+	ADDQ    R8, R9
+	VMOVUPS (R9), Z18
+	VMOVUPS 64(R9), Z19
+	ADDQ    R8, R9
+	VMOVUPS (R9), Z20
+	VMOVUPS 64(R9), Z21
+	ADDQ    R8, R9
+	VMOVUPS (R9), Z22
+	VMOVUPS 64(R9), Z23
+
+k512loop:
+	VMOVUPS (DX), Z24
+	VMOVUPS 64(DX), Z25
+	VBROADCASTSS (SI), Z26
+	VBROADCASTSS 4(SI), Z27
+	VBROADCASTSS 8(SI), Z28
+	VBROADCASTSS 12(SI), Z29
+	VBROADCASTSS 16(SI), Z30
+	VBROADCASTSS 20(SI), Z31
+	VFMADD231PS Z24, Z26, Z0
+	VFMADD231PS Z25, Z26, Z1
+	VFMADD231PS Z24, Z27, Z2
+	VFMADD231PS Z25, Z27, Z3
+	VFMADD231PS Z24, Z28, Z4
+	VFMADD231PS Z25, Z28, Z5
+	VFMADD231PS Z24, Z29, Z6
+	VFMADD231PS Z25, Z29, Z7
+	VFMADD231PS Z24, Z30, Z8
+	VFMADD231PS Z25, Z30, Z9
+	VFMADD231PS Z24, Z31, Z10
+	VFMADD231PS Z25, Z31, Z11
+	VBROADCASTSS 24(SI), Z26
+	VBROADCASTSS 28(SI), Z27
+	VBROADCASTSS 32(SI), Z28
+	VBROADCASTSS 36(SI), Z29
+	VBROADCASTSS 40(SI), Z30
+	VBROADCASTSS 44(SI), Z31
+	VFMADD231PS Z24, Z26, Z12
+	VFMADD231PS Z25, Z26, Z13
+	VFMADD231PS Z24, Z27, Z14
+	VFMADD231PS Z25, Z27, Z15
+	VFMADD231PS Z24, Z28, Z16
+	VFMADD231PS Z25, Z28, Z17
+	VFMADD231PS Z24, Z29, Z18
+	VFMADD231PS Z25, Z29, Z19
+	VFMADD231PS Z24, Z30, Z20
+	VFMADD231PS Z25, Z30, Z21
+	VFMADD231PS Z24, Z31, Z22
+	VFMADD231PS Z25, Z31, Z23
+	ADDQ $48, SI
+	ADDQ $128, DX
+	DECQ CX
+	JNZ  k512loop
+
+	// Write the folded tile back to C, row by row.
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, 64(DI)
+	ADDQ    R8, DI
+	VMOVUPS Z2, (DI)
+	VMOVUPS Z3, 64(DI)
+	ADDQ    R8, DI
+	VMOVUPS Z4, (DI)
+	VMOVUPS Z5, 64(DI)
+	ADDQ    R8, DI
+	VMOVUPS Z6, (DI)
+	VMOVUPS Z7, 64(DI)
+	ADDQ    R8, DI
+	VMOVUPS Z8, (DI)
+	VMOVUPS Z9, 64(DI)
+	ADDQ    R8, DI
+	VMOVUPS Z10, (DI)
+	VMOVUPS Z11, 64(DI)
+	ADDQ    R8, DI
+	VMOVUPS Z12, (DI)
+	VMOVUPS Z13, 64(DI)
+	ADDQ    R8, DI
+	VMOVUPS Z14, (DI)
+	VMOVUPS Z15, 64(DI)
+	ADDQ    R8, DI
+	VMOVUPS Z16, (DI)
+	VMOVUPS Z17, 64(DI)
+	ADDQ    R8, DI
+	VMOVUPS Z18, (DI)
+	VMOVUPS Z19, 64(DI)
+	ADDQ    R8, DI
+	VMOVUPS Z20, (DI)
+	VMOVUPS Z21, 64(DI)
+	ADDQ    R8, DI
+	VMOVUPS Z22, (DI)
+	VMOVUPS Z23, 64(DI)
+	VZEROUPPER
+	RET
+
 // func igemmKernel4x16(kg int64, a *uint8, b *int8, acc *int32)
 //
 // Int8 4x16 micro-kernel: acc[4][16] (row-major int32, overwritten) =

@@ -2,6 +2,6 @@
 
 package kernels
 
-// useSIMDKernel is a no-op on platforms without an assembly micro-kernel;
-// the portable scalar kernel stays active.
-func useSIMDKernel() bool { return false }
+// hostBackends: platforms without assembly kernels run the portable
+// scalar backend only.
+var hostBackends = []*kernelBackend{scalarBackend}

@@ -43,7 +43,7 @@ func PackWeight(transB bool, n, k int, b []float32) *PackedB {
 	if len(b) < k*n {
 		panic(fmt.Sprintf("kernels: PackWeight B buffer %d < k*n=%d (transB=%v)", len(b), k*n, transB))
 	}
-	nr := gemmNR
+	nr := activeBackend.nr
 	panelW := (n + nr - 1) / nr * nr
 	pb := &PackedB{
 		transB: transB,
@@ -73,7 +73,7 @@ func (pb *PackedB) K() int { return pb.k }
 // given orientation and dimensions under the active micro-kernel backend
 // (a pack built for one panel width is useless for another).
 func (pb *PackedB) Matches(transB bool, n, k int) bool {
-	return pb != nil && pb.transB == transB && pb.n == n && pb.k == k && pb.nr == gemmNR
+	return pb != nil && pb.transB == transB && pb.n == n && pb.k == k && pb.nr == activeBackend.nr
 }
 
 // GEMMPacked computes C = alpha·op(A)·pb + beta·C, where pb is op(B)
@@ -86,7 +86,7 @@ func GEMMPacked(transA bool, m, n, k int, alpha float32, a []float32, pb *Packed
 	}
 	if !pb.Matches(pb.transB, n, k) {
 		panic(fmt.Sprintf("kernels: GEMMPacked operand packed for n=%d k=%d nr=%d, called with n=%d k=%d nr=%d — repack required",
-			pb.n, pb.k, pb.nr, n, k, gemmNR))
+			pb.n, pb.k, pb.nr, n, k, activeBackend.nr))
 	}
 	checkGEMMArgs(transA, pb.transB, m, n, k, a, pb.src, c)
 	if m == 0 || n == 0 {
@@ -123,7 +123,8 @@ func GEMMPacked(transA bool, m, n, k int, alpha float32, a []float32, pb *Packed
 // bound packB scratch, and column segmentation in gemmState.run already
 // splits wide tile grids for load balance.
 func gemmPackedBlocked(transA bool, m, n, k int, alpha float32, a []float32, pb *PackedB, c []float32) {
-	mr := gemmMR
+	kb := activeBackend
+	mr := kb.mr
 	kc0 := min(k, gemmKC)
 	ap := getScratch(((min(m, gemmStripe) + mr - 1) / mr) * mr * kc0)
 	g := gemmStatePool.Get().(*gemmState)
@@ -132,7 +133,7 @@ func gemmPackedBlocked(transA bool, m, n, k int, alpha float32, a []float32, pb 
 		for pc := 0; pc < k; pc += gemmKC {
 			kcb := min(gemmKC, k-pc)
 			packA(transA, *ap, a, io, ms, pc, kcb, m, k, alpha, mr, true)
-			g.run(c, *ap, pb.buf[pb.panelW*pc:], n, io, ms, 0, n, kcb, true)
+			g.run(kb, c, *ap, pb.buf[pb.panelW*pc:], n, io, ms, 0, n, kcb, true)
 		}
 	}
 	gemmStatePool.Put(g)

@@ -15,7 +15,7 @@ func packedFull(transA, transB bool, m, n, k int, alpha float32, a, b []float32,
 // edgeDims returns the issue's edge shapes for the active backend:
 // 1, mr±1, nr±1, KC±1 (positive, deduplicated, sorted small→large).
 func edgeDims() []int {
-	cand := []int{1, gemmMR - 1, gemmMR + 1, gemmNR - 1, gemmNR + 1, gemmKC - 1, gemmKC + 1}
+	cand := []int{1, activeBackend.mr - 1, activeBackend.mr + 1, activeBackend.nr - 1, activeBackend.nr + 1, gemmKC - 1, gemmKC + 1}
 	seen := map[int]bool{}
 	var out []int
 	for _, d := range cand {
@@ -29,14 +29,15 @@ func edgeDims() []int {
 
 // TestGEMMPackedEquivalence drives GEMMPacked against the float64
 // reference over all four transpose combinations and the edge dims
-// (m,n,k ∈ {1, mr±1, nr±1, KC±1}) on both micro-kernel backends. The KC±1
-// dims ride in k only, where they cross the depth-block boundary; m and n
-// use the micro-tile edges plus one multi-block size.
+// (m,n,k ∈ {1, mr±1, nr±1, KC±1}) on every micro-kernel backend the host
+// supports. The KC±1 dims ride in k only, where they cross the
+// depth-block boundary; m and n use the micro-tile edges plus one
+// multi-block size, 2·MC+1, which crosses two row blocks on every tile.
 func TestGEMMPackedEquivalence(t *testing.T) {
 	run := func(t *testing.T) {
 		r := tensor.NewRNG(21)
-		mnDims := []int{1, gemmMR - 1, gemmMR + 1, gemmNR - 1, gemmNR + 1, 2*gemmMR*gemmNR + 1}
-		kDims := []int{1, gemmMR + 1, gemmNR + 1, gemmKC - 1, gemmKC + 1}
+		mnDims := []int{1, activeBackend.mr - 1, activeBackend.mr + 1, activeBackend.nr - 1, activeBackend.nr + 1, 2*gemmMC + 1}
+		kDims := []int{1, activeBackend.mr + 1, activeBackend.nr + 1, gemmKC - 1, gemmKC + 1}
 		for _, ta := range []bool{false, true} {
 			for _, tb := range []bool{false, true} {
 				for _, m := range mnDims {
@@ -60,8 +61,7 @@ func TestGEMMPackedEquivalence(t *testing.T) {
 			}
 		}
 	}
-	t.Run("active", run)
-	t.Run("scalar", func(t *testing.T) { withScalarKernel(func() { run(t) }) })
+	forEachBackend(t, run)
 }
 
 // TestGEMMPackedBitwiseMatchesGEMM: skipping packB must not change a single
@@ -125,21 +125,41 @@ func TestGEMMPackedArgChecks(t *testing.T) {
 	})
 }
 
-// TestGEMMPackedBackendMismatchPanics: a pack built for the SIMD panel
-// width is rejected under the scalar backend instead of misreading panels.
+// TestGEMMPackedBackendMismatchPanics: a pack built for one backend's
+// panel width is rejected under every other host backend instead of
+// misreading panels, by both GEMMPacked and the fused epilogue entry.
 func TestGEMMPackedBackendMismatchPanics(t *testing.T) {
-	if !useSIMDKernel() {
-		t.Skip("no SIMD kernel on this platform")
+	if len(hostBackends) < 2 {
+		t.Skip("only one kernel backend on this host")
 	}
-	pb := PackWeight(false, 64, 64, make([]float32, 64*64))
-	withScalarKernel(func() {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
 		defer func() {
 			if recover() == nil {
-				t.Fatal("backend-mismatched pack did not panic")
+				t.Fatalf("%s: backend-mismatched pack did not panic", what)
 			}
 		}()
-		GEMMPacked(false, 32, 64, 64, 1, make([]float32, 32*64), pb, 0, make([]float32, 32*64))
-	})
+		f()
+	}
+	a, c := make([]float32, 32*64), make([]float32, 32*64)
+	ep := &Epilogue{Kind: EpilogueBias, Bias: make([]float32, 64)}
+	for _, packed := range hostBackends {
+		var pb *PackedB
+		withBackend(packed, func() { pb = PackWeight(false, 64, 64, make([]float32, 64*64)) })
+		for _, run := range hostBackends {
+			if run == packed {
+				continue
+			}
+			withBackend(run, func() {
+				what := packed.name + " pack under " + run.name
+				if pb.Matches(false, 64, 64) {
+					t.Fatalf("%s: Matches reports true", what)
+				}
+				mustPanic(what, func() { GEMMPacked(false, 32, 64, 64, 1, a, pb, 0, c) })
+				mustPanic(what+" (epilogue)", func() { GEMMPackedEpilogue(false, 32, 64, 64, 1, a, pb, ep, c) })
+			})
+		}
+	}
 }
 
 // TestPackCacheInvalidation: a stale generation returns the cached (old)
@@ -222,7 +242,7 @@ func TestPackCacheConcurrentReaders(t *testing.T) {
 func TestBatchedGEMMBlockedEquivalence(t *testing.T) {
 	run := func(t *testing.T) {
 		r := tensor.NewRNG(26)
-		dims := []int{1, gemmMR + 1, gemmNR - 1, 2*gemmNR + 3}
+		dims := []int{1, activeBackend.mr + 1, activeBackend.nr - 1, 2*activeBackend.nr + 3}
 		for _, ta := range []bool{false, true} {
 			for _, tb := range []bool{false, true} {
 				for _, d := range dims {
@@ -246,8 +266,7 @@ func TestBatchedGEMMBlockedEquivalence(t *testing.T) {
 			}
 		}
 	}
-	t.Run("active", run)
-	t.Run("scalar", func(t *testing.T) { withScalarKernel(func() { run(t) }) })
+	forEachBackend(t, run)
 }
 
 // TestBatchedGEMMBlockedMatchesPerMatrix fuzzes random shapes through both

@@ -6,7 +6,8 @@ package kernels
 // (gemm_batched_blocked.go). Factoring it out of gemmState is what lets
 // the per-head n×n×dHead attention products run through the SIMD
 // micro-kernel with no blocked-state machinery around them: a batched
-// work item is just beta-scale + this sweep per depth block.
+// work item is just beta-scale + this sweep per depth block. kb is the
+// backend the panels were packed for.
 
 // microTileSweep accumulates C[ir0:irEnd][jr0:jrEnd] += Apanels·Bpanels
 // for one depth block of kcb packed steps. c addresses the full packed
@@ -22,9 +23,9 @@ package kernels
 // C region and copied back afterwards — panel padding is zero and a
 // zero-seeded fma lane stays exactly zero, so the dead lanes never leak
 // into C.
-func microTileSweep(c []float32, ldc int, ap, bp []float32, kcb, ir0, irEnd, jr0, jrEnd, ms, ncb int) {
-	mr, nr := gemmMR, gemmNR
-	kern := microKernel
+func microTileSweep(kb *kernelBackend, c []float32, ldc int, ap, bp []float32, kcb, ir0, irEnd, jr0, jrEnd, ms, ncb int) {
+	mr, nr := kb.mr, kb.nr
+	kern := kb.sgemm
 	var tmp *[microTileMax]float32
 	for jr := jr0; jr < jrEnd; jr += nr {
 		nw := min(nr, ncb-jr)

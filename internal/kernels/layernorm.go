@@ -3,6 +3,7 @@ package kernels
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // LayerNormForward normalizes each row of the rows×n matrix x to zero mean
@@ -97,21 +98,50 @@ func LayerNormBackward(dX, dGamma, dBeta, dY, x, gamma []float32, mean, invStd [
 		}
 	})
 
-	// dGamma/dBeta: column reductions, parallel over columns. The fold is
-	// seeded from the existing gradient so splitting the rows across
-	// multiple calls (gradient accumulation) matches one call bitwise.
-	parallelFor(n, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			dg, db := dGamma[j], dBeta[j]
-			for r := 0; r < rows; r++ {
-				xhat := (x[r*n+j] - mean[r]) * invStd[r]
-				dy := dY[r*n+j]
-				dg += dy * xhat
-				db += dy
+	// dGamma/dBeta: column reductions over disjoint column bands.
+	s := lnParamGradPool.Get().(*lnParamGradState)
+	s.dGamma, s.dBeta, s.dY, s.x, s.mean, s.invStd, s.rows, s.n = dGamma, dBeta, dY, x, mean, invStd, rows, n
+	parallelRun(n, biasGradChunk, s)
+	*s = lnParamGradState{}
+	lnParamGradPool.Put(s)
+}
+
+// lnParamGradState is the pooled dispatch body of LayerNormBackward's
+// dGamma/dBeta pass, laid out like BiasGrad's: work items are disjoint
+// column bands, and each band walks the rows in order over contiguous
+// row segments instead of striding down single columns. Every column
+// still folds r = 0..rows-1 in order from the existing gradient, so the
+// result is bitwise-equal to a column-at-a-time loop, and splitting the
+// rows across calls (gradient accumulation) matches one call bitwise.
+type lnParamGradState struct {
+	dGamma, dBeta, dY, x, mean, invStd []float32
+	rows, n                            int
+}
+
+var lnParamGradPool = sync.Pool{New: func() any { return new(lnParamGradState) }}
+
+func (s *lnParamGradState) runRange(lo, hi int) {
+	var dgAcc, dbAcc [biasGradChunk]float32
+	n := s.n
+	for j0 := lo; j0 < hi; j0 += biasGradChunk {
+		w := min(biasGradChunk, hi-j0)
+		dg, db := dgAcc[:w], dbAcc[:w]
+		copy(dg, s.dGamma[j0:j0+w])
+		copy(db, s.dBeta[j0:j0+w])
+		for r := 0; r < s.rows; r++ {
+			mu, istd := s.mean[r], s.invStd[r]
+			xr := s.x[r*n+j0 : r*n+j0+w]
+			dyr := s.dY[r*n+j0 : r*n+j0+w]
+			for k, v := range xr {
+				xhat := (v - mu) * istd
+				dy := dyr[k]
+				dg[k] += dy * xhat
+				db[k] += dy
 			}
-			dGamma[j], dBeta[j] = dg, db
 		}
-	})
+		copy(s.dGamma[j0:j0+w], dg)
+		copy(s.dBeta[j0:j0+w], db)
+	}
 }
 
 // LayerNormUnfusedKernelCount is the number of separate GPU kernels an

@@ -232,6 +232,46 @@ func TestLayerNormAffine(t *testing.T) {
 	}
 }
 
+// TestLayerNormParamGradColumnFold pins dGamma/dBeta bitwise to the
+// column-at-a-time fold (each column summed over r = 0..rows-1, seeded
+// from the existing gradient) across band-ragged widths and worker
+// counts, and checks that splitting the rows over two calls matches one.
+func TestLayerNormParamGradColumnFold(t *testing.T) {
+	r := tensor.NewRNG(31)
+	for _, n := range []int{1, 7, 63, 64, 65, 200, 256} {
+		rows := 37
+		x, dY := randSlice(r, rows*n), randSlice(r, rows*n)
+		gamma := randSlice(r, n)
+		mean, invStd := randSlice(r, rows), randSlice(r, rows)
+		seedG, seedB := randSlice(r, n), randSlice(r, n)
+		wantG, wantB := append([]float32(nil), seedG...), append([]float32(nil), seedB...)
+		for j := 0; j < n; j++ {
+			for i := 0; i < rows; i++ {
+				xhat := (x[i*n+j] - mean[i]) * invStd[i]
+				wantG[j] += dY[i*n+j] * xhat
+				wantB[j] += dY[i*n+j]
+			}
+		}
+		for _, w := range []int{1, 2, 3} {
+			old := SetMaxWorkers(w)
+			dG, dB := append([]float32(nil), seedG...), append([]float32(nil), seedB...)
+			LayerNormBackward(make([]float32, rows*n), dG, dB, dY, x, gamma, mean, invStd, rows, n)
+			sG, sB := append([]float32(nil), seedG...), append([]float32(nil), seedB...)
+			const r1 = 10
+			LayerNormBackward(make([]float32, r1*n), sG, sB, dY[:r1*n], x[:r1*n], gamma, mean[:r1], invStd[:r1], r1, n)
+			LayerNormBackward(make([]float32, (rows-r1)*n), sG, sB, dY[r1*n:], x[r1*n:], gamma, mean[r1:], invStd[r1:], rows-r1, n)
+			SetMaxWorkers(old)
+			for j := 0; j < n; j++ {
+				for _, got := range [][2][]float32{{dG, dB}, {sG, sB}} {
+					if math.Float32bits(got[0][j]) != math.Float32bits(wantG[j]) || math.Float32bits(got[1][j]) != math.Float32bits(wantB[j]) {
+						t.Fatalf("n=%d workers=%d col %d: dGamma %v dBeta %v, column fold %v %v", n, w, j, got[0][j], got[1][j], wantG[j], wantB[j])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestLayerNormBackwardFiniteDifference(t *testing.T) {
 	r := tensor.NewRNG(3)
 	rows, n := 3, 8

@@ -83,16 +83,20 @@ func Tiny() Config {
 
 // ParamCount returns the exact trainable-parameter count of the
 // configuration, matching Params() of a constructed model.
-func (c Config) ParamCount() int {
-	d, ff := c.DModel, c.DFF
+func (c Config) ParamCount() int { return int(c.paramCount64()) }
+
+// paramCount64 is ParamCount in int64, exact for any dimensions up to
+// 2^24 (the checkpoint header bound) on every platform.
+func (c Config) paramCount64() int64 {
+	d, ff, vocab := int64(c.DModel), int64(c.DFF), int64(c.Vocab)
 	// Embeddings: token + position + segment tables and LN.
-	emb := (c.Vocab+c.MaxPos+2)*d + 2*d
+	emb := (vocab+int64(c.MaxPos)+2)*d + 2*d
 	// Per encoder layer: 4 projections (d·d+d), FC1 (d·ff+ff),
 	// FC2 (ff·d+d), 2 LayerNorms (2d each).
 	layer := 4*(d*d+d) + (d*ff + ff) + (ff*d + d) + 4*d
 	// Heads: MLM dense (d·d+d) + LN (2d) + decoder bias (vocab; the
 	// decoder weight is tied to the token embedding) + pooler (d·d+d) +
 	// NSP classifier (2d+2).
-	heads := (d*d + d) + 2*d + c.Vocab + (d*d + d) + (2*d + 2)
-	return emb + c.NumLayers*layer + heads
+	heads := (d*d + d) + 2*d + vocab + (d*d + d) + (2*d + 2)
+	return emb + int64(c.NumLayers)*layer + heads
 }

@@ -166,7 +166,7 @@ func readHeader(r io.Reader) (Config, error) {
 	if fields[1] != checkpointVersion {
 		return Config{}, fmt.Errorf("model: unsupported checkpoint version %d", fields[1])
 	}
-	return Config{
+	cfg := Config{
 		Vocab:          int(fields[2]),
 		MaxPos:         int(fields[3]),
 		NumLayers:      int(fields[4]),
@@ -176,7 +176,42 @@ func readHeader(r io.Reader) (Config, error) {
 		Causal:         fields[8]&1 != 0,
 		FusedAttention: fields[8]&2 != 0,
 		DropProb:       math.Float32frombits(binary.LittleEndian.Uint32(hdr[36:])),
-	}, nil
+	}
+	if err := checkHeaderBounds(cfg); err != nil {
+		return Config{}, err
+	}
+	return cfg, nil
+}
+
+// Bounds a checkpoint header must meet before Load allocates the model it
+// describes. Every dimension is at most maxCheckpointDim, so the
+// parameter count cannot overflow; the layer count is at most
+// maxCheckpointLayers, since each layer carries fixed per-object overhead
+// the count does not show; and the model has at most maxCheckpointParams
+// parameters, 2^31: over six times BERT-Large's 3.4e8 and above every
+// preset in config.go.
+const (
+	maxCheckpointDim    = 1 << 24
+	maxCheckpointLayers = 1 << 10
+	maxCheckpointParams = 1 << 31
+)
+
+func checkHeaderBounds(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("model: checkpoint config invalid: %w", err)
+	}
+	for _, d := range []int{cfg.Vocab, cfg.MaxPos, cfg.DModel, cfg.Heads, cfg.DFF} {
+		if d > maxCheckpointDim {
+			return fmt.Errorf("model: checkpoint dimension %d above the %d bound (%+v)", d, maxCheckpointDim, cfg)
+		}
+	}
+	if cfg.NumLayers > maxCheckpointLayers {
+		return fmt.Errorf("model: checkpoint has %d layers, above the %d bound", cfg.NumLayers, maxCheckpointLayers)
+	}
+	if n := cfg.paramCount64(); n > maxCheckpointParams {
+		return fmt.Errorf("model: checkpoint implies %d parameters, above the %d bound (%+v)", n, int64(maxCheckpointParams), cfg)
+	}
+	return nil
 }
 
 // writeFloats encodes data as little-endian float32 bits, staging at most

@@ -202,6 +202,57 @@ func TestLoadRejectsCorruptHeader(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsOversizedHeader: a bare 40-byte header whose dimensions
+// imply an impossible model (vocab 2^28 at d_model 4096 is 4.4 TB of
+// weights) is rejected with an error before anything is allocated, as are
+// non-positive dimensions, too many layers and parameter counts above the
+// bound; a header at the bound's largest preset still passes the check.
+func TestLoadRejectsOversizedHeader(t *testing.T) {
+	header := func(cfg Config) []byte {
+		var buf bytes.Buffer
+		if err := writeHeader(&buf, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if buf.Len() != checkpointHeaderBytes {
+			t.Fatalf("header is %d bytes, want %d", buf.Len(), checkpointHeaderBytes)
+		}
+		return buf.Bytes()
+	}
+	huge := BERTLarge()
+	huge.Vocab, huge.DModel, huge.Heads = 1<<28, 4096, 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Load(bytes.NewReader(header(huge)))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("Load accepted a header implying 2^28×4096 embeddings")
+	}
+	if a := after.TotalAlloc - before.TotalAlloc; a > 64<<10 {
+		t.Errorf("rejecting the header allocated %d bytes, want ≤ 64 KiB", a)
+	}
+
+	bad := map[string]func(c *Config){
+		"zero d_model":     func(c *Config) { c.DModel = 0 },
+		"negative vocab":   func(c *Config) { c.Vocab = -5 },
+		"negative d_ff":    func(c *Config) { c.DFF = -1 },
+		"dim above bound":  func(c *Config) { c.DFF = maxCheckpointDim + 1 },
+		"too many layers":  func(c *Config) { c.NumLayers = maxCheckpointLayers + 1 },
+		"params over 2^31": func(c *Config) { c.DModel, c.Heads, c.DFF = 8192, 64, 32768 },
+	}
+	for name, mut := range bad {
+		cfg := BERTLarge()
+		mut(&cfg)
+		if _, err := readHeader(bytes.NewReader(header(cfg))); err == nil {
+			t.Errorf("%s: header accepted (%+v)", name, cfg)
+		}
+	}
+	for _, cfg := range []Config{Tiny(), BERTLarge(), MegatronBERT(), GPTMedium()} {
+		if got, err := readHeader(bytes.NewReader(header(cfg))); err != nil || got != cfg {
+			t.Errorf("preset %+v: readHeader = %+v, %v", cfg, got, err)
+		}
+	}
+}
+
 func TestSaveLoadFineTuneHandoff(t *testing.T) {
 	// The pre-train -> save -> load -> fine-tune workflow of Fig. 1.
 	cfg := Tiny()

@@ -78,8 +78,14 @@ func (d *Dropout) Forward(ctx *Ctx, x *tensor.Tensor) *tensor.Tensor {
 		// Checkpointed recompute: replay the saved mask so the recomputed
 		// activation matches the original bit-for-bit.
 	} else {
+		// Mask generation draws one random number per element and costs
+		// several times the apply below; it is its own profiled kernel
+		// (no FLOPs, one float32 mask written).
 		d.mask = tensor.New(x.Shape()...)
-		kernels.DropoutMask(d.mask.Data(), d.P, ctx.RNG)
+		ctx.Prof.Time("dropout_mask", d.Category, profile.Forward,
+			0, kernels.EWBytes(x.Size(), 0, 1, 4), func() {
+				kernels.DropoutMask(d.mask.Data(), d.P, ctx.RNG)
+			})
 	}
 	y := tensor.New(x.Shape()...)
 	n := x.Size()

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"testing"
+	"time"
 
 	"demystbert/internal/profile"
 	"demystbert/internal/tensor"
@@ -167,6 +168,48 @@ func TestDropoutEvalIsIdentity(t *testing.T) {
 	dY := randTensor(r, 3, 3)
 	if got := d.Backward(ctx, dY); got != dY {
 		t.Fatal("eval-mode dropout backward must be identity")
+	}
+}
+
+// TestDropoutMaskProfiled: a train-mode Dropout forward records its mask
+// generation as a dropout_mask kernel under the layer's category, with the
+// mask's bytes, so the RNG draws count toward kernel coverage: the
+// recorded kernels cover most of the forward's wall time, where the apply
+// alone covered a small share. A checkpointed recompute replays the mask
+// and records no new draw.
+func TestDropoutMaskProfiled(t *testing.T) {
+	const n = 1 << 20
+	d := NewDropout(0.1, profile.CatDRRCLN)
+	ctx := evalCtx()
+	ctx.Prof = profile.New()
+	x := tensor.New(n)
+	start := time.Now()
+	d.Forward(ctx, x)
+	wall := time.Since(start)
+	var mask, covered time.Duration
+	for _, e := range ctx.Prof.Events() {
+		covered += e.Duration
+		if e.Kernel != "dropout_mask" {
+			continue
+		}
+		mask += e.Duration
+		if e.Category != profile.CatDRRCLN || e.Phase != profile.Forward || e.Bytes != 4*n || e.FLOPs != 0 {
+			t.Fatalf("dropout_mask event %+v, want category DRRCLN, forward, %d bytes, 0 FLOPs", e, 4*n)
+		}
+	}
+	if mask == 0 {
+		t.Fatal("no dropout_mask event recorded")
+	}
+	if cov := float64(covered) / float64(wall); cov < 0.5 {
+		t.Errorf("kernels cover %.2f of the dropout forward (mask %v, wall %v), want ≥ 0.5", cov, mask, wall)
+	}
+	ctx.Prof.Reset()
+	ctx.Recompute = true
+	d.Forward(ctx, x)
+	for _, e := range ctx.Prof.Events() {
+		if e.Kernel == "dropout_mask" {
+			t.Fatal("checkpointed recompute drew a new mask")
+		}
 	}
 }
 

@@ -6,7 +6,8 @@
 # paths, plus the fused-epilogue FFN tail (unfused kernel chain vs
 # bias+GeLU / bias+residual+LayerNorm tile write-back) and the int8
 # quantized path against f32 pre-packed on the paper's weight-stationary
-# shapes. Uses only the go toolchain and awk (no external deps).
+# shapes, and the train workload's GeLU forward/backward and LayerNorm
+# backward. Uses only the go toolchain and awk (no external deps).
 #
 # Usage: scripts/bench_gemm.sh [benchtime]   (default 2x per benchmark)
 set -eu
@@ -17,7 +18,7 @@ OUT=BENCH_gemm.json
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
 
-go test -run 'xxx' -bench 'GEMMPaperSizes|GEMMInt8PaperSizes|RealGEMM|RealAttentionBGEMM|RealFFN|RealAddBias|RealBiasGrad|Fig6GEMMIntensity' \
+go test -run 'xxx' -bench 'GEMMPaperSizes|GEMMInt8PaperSizes|RealGEMM|RealAttentionBGEMM|RealFFN|RealAddBias|RealBiasGrad|RealGeLU|RealLayerNormBackward|Fig6GEMMIntensity' \
 	-benchtime "$BENCHTIME" -benchmem . | tee "$RAW"
 
 awk '

@@ -27,15 +27,21 @@ go test ./...
 echo "== numerics audit sweep (cross-path differential + gradcheck + determinism)"
 go run ./cmd/bertchar -audit >/dev/null
 
-echo "== GeLU fuzz (finite inputs: finite forward/backward within the float64-oracle bounds)"
+echo "== GeLU fuzz (finite inputs: finite forward/backward within the float64-oracle bounds; vector rows bitwise == scalar)"
 go test -run '^$' -fuzz FuzzGeLU -fuzztime 10s ./internal/kernels/
+
+echo "== vector GeLU exhaustive sweep (all 2^32 inputs, forward and backward bitwise == scalar; skips without AVX-512)"
+go test -run 'TestGeLUVectorExhaustive' -count=1 -timeout 60m ./internal/kernels/ -args -gelu-exhaustive
+
+echo "== kernels under the portable backend (DEMYSTBERT_NOSIMD=1)"
+DEMYSTBERT_NOSIMD=1 go test -count=1 ./internal/kernels/
 
 echo "== loss-scaler cap + FP16 conformance"
 go test -run 'TestLossScaler' -count=1 ./internal/optim/
 go test -run 'TestF16' -count=1 ./internal/tensor/
 
-echo "== alloc guard (GEMM + fused epilogue + int8 + bias kernels + ring allreduce + metrics + nil profiler, zero allocs)"
-go test -run 'TestGEMMZeroAllocSteadyState|TestGEMMPackedEpilogueZeroAlloc|TestGEMMInt8ZeroAlloc|TestAddBiasBiasGradZeroAlloc' -count=1 ./internal/kernels/
+echo "== alloc guard (GEMM + fused epilogue on every backend + GeLU + int8 + bias kernels + ring allreduce + metrics + nil profiler, zero allocs)"
+go test -run 'TestGEMMZeroAllocSteadyState|TestGEMMPackedEpilogueZeroAlloc|TestGeLUZeroAlloc|TestGEMMInt8ZeroAlloc|TestAddBiasBiasGradZeroAlloc' -count=1 ./internal/kernels/
 go test -run 'TestRingAllReduceZeroAllocSteadyState' -count=1 ./internal/ddp/
 go test -run 'TestMetricsZeroAlloc|TestWindowObserveZeroAlloc|TestHistogramObserveExemplarNoTraceZeroAlloc' -count=1 ./internal/obs/
 go test -run 'TestNilProfilerZeroAlloc' -count=1 ./internal/profile/
